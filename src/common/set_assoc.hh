@@ -165,23 +165,6 @@ class SetAssoc
     }
 
     /**
-     * Issue `__builtin_prefetch` over the host cache lines backing
-     * @p set's way span (software pipelining: the simulation loop calls
-     * this for access i+D while simulating access i, hiding the host
-     * misses on the multi-MB arrays behind model work). Pure host-side
-     * hint — no model state, ticks or counters are touched.
-     */
-    void
-    prefetchSet(std::uint64_t set) const
-    {
-        const char *base =
-            reinterpret_cast<const char *>(store_ + set * ways_);
-        const std::size_t span = ways_ * sizeof(Way);
-        for (std::size_t off = 0; off < span; off += 64)
-            __builtin_prefetch(base + off, 0, 2);
-    }
-
-    /**
      * Valid (non-zero-key) ways across the whole array — the occupancy
      * gauge behind the timeline's valid-entry fractions. Exploits the
      * valid-prefix invariant (file comment): each set's scan stops at

@@ -1,9 +1,10 @@
 /**
  * @file
- * OsDynamics: applies an OsEventStream to a live (System, Machine) pair
- * as the simulation loop consumes accesses.
+ * OsDynamics: applies an OsEventStream to a live System and its
+ * translation hardware (a ShootdownTarget) as the simulation loop
+ * consumes accesses.
  *
- * The Simulator calls applyDue() at batch boundaries (and caps each
+ * AccessStream calls applyDue() at batch boundaries (and caps each
  * batch at the next event offset, so events fire at *exact* access
  * counts regardless of batching). Application is the OS + hypervisor +
  * hardware-shootdown choreography:
@@ -44,10 +45,10 @@ namespace asap
 /**
  * Where OsDynamics directs the hardware side effects of an OS event —
  * translation shootdowns and range-descriptor refreshes. The serial
- * Simulator's target is its single Machine; the multi-core model
- * (src/mc) substitutes a proxy that fans a tenant's shootdown out to
- * every core the tenant has run on, charging the IPI cost model along
- * the way. The OS-side mutation (System) is common to both.
+ * Simulator's target forwards to its single Machine; the multi-core
+ * model (src/mc) substitutes a proxy that fans a tenant's shootdown out
+ * to every core the tenant has run on, charging the IPI cost model
+ * along the way. The OS-side mutation (System) is common to both.
  */
 class ShootdownTarget
 {
@@ -70,19 +71,12 @@ class ShootdownTarget
 class OsDynamics
 {
   public:
-    /** @p stream may be nullptr or empty (a static run). */
-    OsDynamics(const OsEventStream *stream, System &system,
-               Machine &machine)
-        : stream_(stream), system_(system), machine_(&machine)
-    {}
-
-    /** Multi-core variant: side effects go through @p target. */
+    /** OS-side mutations go to @p system, hardware side effects to
+     *  @p target. @p stream must be non-null. */
     OsDynamics(const OsEventStream *stream, System &system,
                ShootdownTarget &target)
-        : stream_(stream), system_(system), target_(&target)
+        : stream_(stream), system_(system), target_(target)
     {}
-
-    bool active() const { return stream_ && !stream_->empty(); }
 
     /** Apply every event with atAccess <= @p consumed, in order.
      *  @p now timestamps the events on an attached trace sink; it never
@@ -113,33 +107,9 @@ class OsDynamics
     /** Resolve the VMA an event targets and its base VA. */
     const Vma *resolveVma(const OsEvent &event) const;
 
-    /** Dispatch helpers over machine_/target_ (exactly one is set). */
-    obs::TraceSink *
-    sink() const
-    {
-        return target_ ? target_->traceSink() : machine_->traceSink();
-    }
-
-    Machine::InvalidateCounts
-    invalidate(VirtAddr start, VirtAddr end)
-    {
-        return target_ ? target_->invalidateRange(start, end)
-                       : machine_->invalidateRange(start, end);
-    }
-
-    void
-    refresh()
-    {
-        if (target_)
-            target_->refreshDescriptors();
-        else
-            machine_->refreshDescriptors();
-    }
-
     const OsEventStream *stream_;
     System &system_;
-    Machine *machine_ = nullptr;
-    ShootdownTarget *target_ = nullptr;
+    ShootdownTarget &target_;
     std::size_t next_ = 0;
     /** Dynamic-VMA handle -> live VMA id. */
     std::unordered_map<std::uint64_t, std::uint64_t> vmaOfHandle_;

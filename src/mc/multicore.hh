@@ -31,6 +31,11 @@
  * bit-identical to the serial Simulator (tests/test_mc.cc pins this,
  * RunStats and counters included).
  *
+ * Each tenant's accesses run through an AccessStream
+ * (sim/access_stream.hh), the per-access kernel the serial Simulator
+ * uses too; what is multi-core — scheduling, context switches,
+ * shootdown fan-out, counter assembly — lives here.
+ *
  * TLB shootdown follows the Linux mm_cpumask choreography: each
  * tenant tracks the set of cores it has run on since its entries
  * could last have been flushed there. A dyn-subsystem munmap/madvise
@@ -57,6 +62,7 @@
 #include "dyn/dynamics.hh"
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
+#include "sim/access_stream.hh"
 #include "sim/machine.hh"
 #include "sim/simulator.hh"
 #include "sim/system.hh"
@@ -182,45 +188,42 @@ class MultiCoreSimulator
 
     struct Tenant
     {
-        System *system = nullptr;
-        Workload *workload = nullptr;
+        Tenant(System &system, Workload &workload)
+            : system(&system), stream(system, workload)
+        {}
+
+        System *system;
+        /** The tenant's address stream: workload, RNGs, OS events and
+         *  RunStats, run on whichever core the scheduler picks. */
+        AccessStream stream;
         /** One Machine per core, sharing that core's mem/TLB. */
         std::vector<std::unique_ptr<Machine>> machines;
         std::unique_ptr<ShootdownTarget> proxy;
-        std::unique_ptr<OsDynamics> dyn;
 
-        Rng rng;
-        Rng corunnerRng;
-        VirtAddr lastVa = ~VirtAddr{0};
-        std::uint64_t consumed = 0;
         std::uint64_t warmupLeft = 0;
         std::uint64_t measureLeft = 0;
-        unsigned cpa = 1;
-        RunStats stats;
         TenantStats mcStats;
 
         /** mm_cpumask: cores that may hold this tenant's TLB/PWC
          *  state (conservative; bits clear on no-PCID flushes). */
         std::uint64_t presence = 0;
         unsigned lastCore = 0;
-
-        /** ASAP region-lifecycle counters at run start (deltas). */
-        std::uint64_t regionHoles0 = 0, regionRelocated0 = 0,
-                      regionReleased0 = 0, regionReleasedFrames0 = 0;
     };
 
-    void switchIn(unsigned core, unsigned tenant);
-    /** Run up to @p budget accesses of @p tenant on @p core. */
+    /** Switch @p tenant onto @p core, then run up to one quantum of
+     *  its stream there. */
     void runQuantum(unsigned core, unsigned tenant,
-                    std::uint64_t budget, const RunConfig &config);
+                    const RunConfig &config);
+    void switchIn(unsigned core, unsigned tenant);
+
 
     /** ShootdownTarget fan-out for @p tenant (see file comment). */
     Machine::InvalidateCounts
     tenantShootdown(unsigned tenant, VirtAddr start, VirtAddr end);
     void tenantRefresh(unsigned tenant);
 
-    /** Finalize one tenant's RunStats (dyn tail, region deltas,
-     *  engine sums, per-tenant counters). */
+    /** Finalize one tenant's RunStats (stream end, engine sums over
+     *  its machines, per-tenant counters). */
     void finalizeTenant(unsigned tenant);
 
     /** The aggregate counter list, serial-ordered: per-core sums,

@@ -23,9 +23,9 @@
  *    contiguity, MSHR occupancy high-water.
  *
  * Integration shape (Simulator::run): the measure phase is split into
- * epoch-sized runPhase calls. Every workload draws addresses one at a
- * time from its generation core, so the chunking replays the identical
- * access stream — the hot loops carry zero new branches and a run with
+ * epoch-sized AccessStream::advance calls. Every workload draws
+ * addresses one at a time from its generation core, so the chunking
+ * replays the identical access stream — the hot loops carry zero new branches and a run with
  * a Timeline attached and enabled is bit-identical to one without
  * (Golden suite). Like TraceSink, the probe is a null-by-default
  * pointer: detached costs nothing anywhere.

@@ -112,63 +112,6 @@ class Machine
         return translateMiss(va, now);
     }
 
-    /**
-     * Software-pipelined *host* prefetch, stage 1 (far lookahead):
-     * while the simulation loop works on access i, it calls this for
-     * access i+D (Simulator::runPhase, RunConfig::prefetchDistance) to
-     * pull the host cache lines the simulation of that access will
-     * stall on — exactly ASAP's own insight applied to the simulator
-     * itself. A single PL2 PWC probe (one set scan of a tiny,
-     * host-hot array) predicts the leaf slab PT node; its PTE line and
-     * the memory-model set lines the walk's PL1 access will scan are
-     * prefetched. Deeper PWC levels are not probed: they would only
-     * name upper PT nodes, which are few and host-cache-resident.
-     *
-     * Strictly side-effect-free on model state: only const peeks (no
-     * LRU touches, no counters) and `__builtin_prefetch`, so enabling
-     * it cannot perturb any RunStats bit (Golden suite).
-     *
-     * @return the predicted leaf PTE slot (nullptr on a PL2 peek
-     * miss). Slab nodes are never deallocated (dead ones are only
-     * marked), so the pointer is always safe to dereference later; a
-     * stale prediction at worst wastes a prefetch.
-     */
-    const Pte *
-    prefetchWalkTarget(VirtAddr va) const
-    {
-        const PageWalkCaches::Hit hit = appPwc_.peekLeaf(va);
-        if (!hit.valid() || hit.childIndex == invalidPtNodeIndex)
-            return nullptr;
-        const PtNode &node = system_.appPt().nodeAt(hit.childIndex);
-        const unsigned slot = levelIndex(va, 1);
-        __builtin_prefetch(&node.entries[slot], 0, 3);
-        if (!system_.virtualized()) {
-            mem_->prefetchHostSets((node.pfn << pageShift) +
-                                  slot * pteSize);
-        }
-        return &node.entries[slot];
-    }
-
-    /**
-     * Pipeline stage 2 (near lookahead): @p pte — returned by a
-     * stage-1 prefetchWalkTarget(@p va) a few accesses ago, its line
-     * host-cached by now — predicts the data physical address, whose
-     * access will scan the big LLC tag-set array. Virtualized PTEs
-     * hold guest frames and would need the host dimension's mapping;
-     * the prediction is skipped there.
-     */
-    void
-    prefetchDataTarget(VirtAddr va, const Pte *pte) const
-    {
-        if (pte == nullptr || system_.virtualized())
-            return;
-        const Pte entry = *pte;
-        if (!entry.present() || entry.huge())
-            return;
-        mem_->prefetchHostSets((entry.pfn() << pageShift) |
-                              (va & (pageSize - 1)));
-    }
-
     /** A demand data access (cache pressure + latency, no TLB). */
     Cycles
     dataAccess(PhysAddr pa)

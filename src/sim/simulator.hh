@@ -10,12 +10,13 @@
  * charges per access: the workload's compute cycles, the data-access
  * latency, and the full walk latency on a TLB miss.
  *
- * NOTE: the multi-core model (src/mc/multicore.cc, runQuantum)
- * mirrors this file's per-access arithmetic line for line — the
- * 1-core/1-tenant mc shape is pinned bit-identical to Simulator::run,
- * RunStats and counters included (tests/test_mc.cc). A change to the
- * access loop, the stats accounting or collectCounters() here must be
- * reflected there, or test_mc will tell you.
+ * The per-access work itself lives in AccessStream
+ * (sim/access_stream.hh), which the multi-core model (src/mc) drives
+ * too; Simulator adds what only a serial run has: one caller-owned
+ * Machine, parallel-replay seeking and Timeline epochs at exact
+ * multiples of the epoch length. The 1-core/1-tenant mc shape is
+ * pinned bit-identical to Simulator::run, RunStats and counters
+ * included (tests/test_mc.cc).
  */
 
 #ifndef ASAP_SIM_SIMULATOR_HH
@@ -44,8 +45,6 @@ namespace obs
 class Timeline;
 }
 
-class OsDynamics;
-
 struct RunConfig
 {
     std::uint64_t warmupAccesses = 100'000;
@@ -59,19 +58,6 @@ struct RunConfig
     /** Ideal-TLB run: no misses, no walks (Table 6 methodology). */
     bool perfectTlb = false;
     std::uint64_t seed = 7;
-
-    /**
-     * Software-pipelining lookahead: while access i is simulated, the
-     * host cache lines its structures' set scans will touch for access
-     * i+D are `__builtin_prefetch`ed (Machine::prefetchWalkTarget /
-     * prefetchDataTarget, plus the co-runner RNG lookahead). 0
-     * disables. Host-side only — any distance produces bit-identical
-     * RunStats; the default was tuned with `bench/perf_hotpath
-     * --prefetch-dist` (the win is host-dependent: see README
-     * "Performance"). Ignored for perfect-TLB and dynamic (OS-event)
-     * runs, where lookahead is pointless or unsafe respectively.
-     */
-    unsigned prefetchDistance = 16;
 
     /**
      * Parallel replay (src/sim/parallel_replay.hh): reposition a
@@ -207,9 +193,9 @@ class Simulator
     /**
      * Attach (or detach, with nullptr) a time-resolved telemetry
      * probe (obs/timeline.hh). With a timeline attached, run() splits
-     * the *measure* phase into epoch-sized runPhase calls and samples
-     * counters/histograms/gauges at each boundary — the address
-     * stream, every simulated event, and every RunStats bit are
+     * the *measure* phase into epoch-sized AccessStream::advance calls
+     * and samples counters/histograms/gauges at each boundary — the
+     * address stream, every simulated event, and every RunStats bit are
      * identical to the unchunked run (workloads generate addresses
      * one at a time, so batch partitioning cannot change the draw
      * order; pinned against the Golden suite by
@@ -220,28 +206,9 @@ class Simulator
     { timeline_ = timeline; }
 
   private:
-    /**
-     * One simulation phase (warmup or measurement) over @p accesses
-     * addresses. Measuring and PerfectTlb are compile-time so the inner
-     * loop carries neither branch; addresses are consumed in batches
-     * (one virtual dispatch per batch, see Workload::nextBatch).
-     */
-    template <bool Measuring, bool PerfectTlb>
-    void runPhase(std::uint64_t accesses, const RunConfig &config,
-                  unsigned cpa, Rng &rng, Rng &corunnerRng, Cycles &now,
-                  RunStats &stats);
-
     System &system_;
     Machine &machine_;
     Workload &workload_;
-    VirtAddr lastVa_ = ~VirtAddr{0};
-
-    /** Live only during run() when the workload carries an OS-event
-     *  stream; null on the (unchanged) static path. */
-    OsDynamics *dyn_ = nullptr;
-    /** Accesses consumed so far this run (warmup + measure) — the
-     *  clock OS events fire against. */
-    std::uint64_t consumed_ = 0;
 
     /** Null by default (zero-cost detached, like the trace sink). */
     obs::Timeline *timeline_ = nullptr;

@@ -120,9 +120,10 @@ goldenRunConfig(bool colocation)
     return run;
 }
 
-/** Run one scenario from a fresh System (no ASAP_QUICK interference). */
+/** Run one scenario from a fresh System (no ASAP_QUICK interference)
+ *  under @p run. */
 inline RunStats
-runScenario(const Scenario &scenario)
+runScenario(const Scenario &scenario, const RunConfig &run)
 {
     const WorkloadSpec spec = goldenSpec();
     System system(makeSystemConfig(spec, scenario.env));
@@ -130,7 +131,14 @@ runScenario(const Scenario &scenario)
     workload->setup(system);
     Machine machine(system, scenario.machine);
     Simulator simulator(system, machine, *workload);
-    return simulator.run(goldenRunConfig(scenario.colocation));
+    return simulator.run(run);
+}
+
+/** Run one scenario under its golden RunConfig. */
+inline RunStats
+runScenario(const Scenario &scenario)
+{
+    return runScenario(scenario, goldenRunConfig(scenario.colocation));
 }
 
 /** Everything the golden tests pin, flattened to integers. */

@@ -104,9 +104,11 @@ expectDynEqual(const OsDynStats &a, const OsDynStats &b)
     EXPECT_EQ(a.regionFramesReleased, b.regionFramesReleased);
 }
 
-/** Run a golden scenario through the mc model, 1 core / 1 tenant. */
+/** Run a golden scenario through the mc model, 1 core / 1 tenant,
+ *  under @p run. */
 mc::McResult
-runScenarioMc(const golden::Scenario &scenario, std::uint64_t quantum)
+runScenarioMc(const golden::Scenario &scenario, std::uint64_t quantum,
+              const RunConfig &run)
 {
     const WorkloadSpec spec = golden::goldenSpec();
     TenantHarness tenant = makeTenant(spec, scenario.env);
@@ -114,7 +116,15 @@ runScenarioMc(const golden::Scenario &scenario, std::uint64_t quantum)
     mcConfig.quantum = quantum;
     mc::MultiCoreSimulator sim(mcConfig, scenario.machine);
     sim.addTenant(*tenant.system, *tenant.workload);
-    return sim.run(golden::goldenRunConfig(scenario.colocation));
+    return sim.run(run);
+}
+
+/** ... under the scenario's golden RunConfig. */
+mc::McResult
+runScenarioMc(const golden::Scenario &scenario, std::uint64_t quantum)
+{
+    return runScenarioMc(scenario, quantum,
+                         golden::goldenRunConfig(scenario.colocation));
 }
 
 } // namespace
@@ -146,6 +156,22 @@ TEST(McSerialIdentity, GoldenScenariosBitIdentical)
         ASSERT_EQ(result.tenants.size(), 1u);
         expectFlattenEqual(golden::flatten(serial),
                            golden::flatten(result.tenants[0]));
+
+        // The ideal-TLB path (Table 6) at an odd quantum, so quanta
+        // straddle the warmup/measure boundary on that path too.
+        RunConfig perfect = golden::goldenRunConfig(scenario.colocation);
+        perfect.perfectTlb = true;
+        const RunStats serialPerfect =
+            golden::runScenario(scenario, perfect);
+        const mc::McResult perfectResult =
+            runScenarioMc(scenario, 123, perfect);
+        const RunStats &mcPerfect = perfectResult.aggregate;
+        expectFlattenEqual(golden::flatten(serialPerfect),
+                           golden::flatten(mcPerfect));
+        EXPECT_EQ(serialPerfect.accesses, mcPerfect.accesses);
+        expectCountersEqual(serialPerfect, mcPerfect);
+        EXPECT_EQ(serialPerfect.dataHist.p50(), mcPerfect.dataHist.p50());
+        EXPECT_EQ(serialPerfect.dataHist.p99(), mcPerfect.dataHist.p99());
     }
 }
 
