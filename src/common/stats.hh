@@ -72,6 +72,14 @@ class SampleStat
         max_ = std::max(max_, other.max_);
     }
 
+    bool
+    operator==(const SampleStat &other) const
+    {
+        return count_ == other.count_ && sum_ == other.sum_ &&
+               sumSquares_ == other.sumSquares_ && min_ == other.min_ &&
+               max_ == other.max_;
+    }
+
     std::uint64_t count() const { return count_; }
     std::uint64_t sum() const { return sum_; }
     std::uint64_t min() const { return count_ ? min_ : 0; }
@@ -225,6 +233,12 @@ class LevelDistribution
         for (std::size_t i = 0; i < counts_.size(); ++i)
             counts_[i] += other.counts_[i];
         total_ += other.total_;
+    }
+
+    bool
+    operator==(const LevelDistribution &other) const
+    {
+        return counts_ == other.counts_ && total_ == other.total_;
     }
 
     /** Rebuild one level's count from serialized fields (sweep-journal

@@ -133,45 +133,18 @@ OsEventStream::decode(const std::uint8_t *begin, const std::uint8_t *end,
 void
 OsDynStats::merge(const OsDynStats &other)
 {
-    events += other.events;
-    mmaps += other.mmaps;
-    munmaps += other.munmaps;
-    minorFaults += other.minorFaults;
-    madviseFrees += other.madviseFrees;
-    extends += other.extends;
-    churnReleases += other.churnReleases;
-    dataPagesFreed += other.dataPagesFreed;
-    ptNodesFreed += other.ptNodesFreed;
-    churnFramesReleased += other.churnFramesReleased;
-    tlbInvalidated += other.tlbInvalidated;
-    pwcInvalidated += other.pwcInvalidated;
-    regionGrowthHoles += other.regionGrowthHoles;
-    regionRelocations += other.regionRelocations;
-    regionsReleased += other.regionsReleased;
-    regionFramesReleased += other.regionFramesReleased;
+    forEachField([](const char *, std::uint64_t &sum,
+                    std::uint64_t add) { sum += add; },
+                 *this, other);
 }
 
 void
 OsDynStats::appendCounters(
     std::vector<std::pair<std::string, std::uint64_t>> &counters) const
 {
-    counters.emplace_back("dyn.events", events);
-    counters.emplace_back("dyn.mmaps", mmaps);
-    counters.emplace_back("dyn.munmaps", munmaps);
-    counters.emplace_back("dyn.minorFaults", minorFaults);
-    counters.emplace_back("dyn.madviseFrees", madviseFrees);
-    counters.emplace_back("dyn.extends", extends);
-    counters.emplace_back("dyn.churnReleases", churnReleases);
-    counters.emplace_back("dyn.dataPagesFreed", dataPagesFreed);
-    counters.emplace_back("dyn.ptNodesFreed", ptNodesFreed);
-    counters.emplace_back("dyn.churnFramesReleased", churnFramesReleased);
-    counters.emplace_back("dyn.tlbInvalidated", tlbInvalidated);
-    counters.emplace_back("dyn.pwcInvalidated", pwcInvalidated);
-    counters.emplace_back("dyn.regionGrowthHoles", regionGrowthHoles);
-    counters.emplace_back("dyn.regionRelocations", regionRelocations);
-    counters.emplace_back("dyn.regionsReleased", regionsReleased);
-    counters.emplace_back("dyn.regionFramesReleased",
-                          regionFramesReleased);
+    forEachField([&counters](const char *name, std::uint64_t value) {
+        counters.emplace_back(std::string("dyn.") + name, value);
+    }, *this);
 }
 
 } // namespace asap

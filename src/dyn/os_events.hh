@@ -119,11 +119,35 @@ struct OsDynStats
     /** Field-wise sum (run and tenant aggregation). */
     void merge(const OsDynStats &other);
 
-    /** Append every field as a `dyn.<field>` counter, in declaration
-     *  order (the sweep columns' order). */
+    /** Append every field as a `dyn.<field>` counter, in schema order
+     *  (the sweep columns' order). */
     void appendCounters(
         std::vector<std::pair<std::string, std::uint64_t>> &counters)
         const;
+
+    /** The OsDynStats schema (part of RunStats's, sim/simulator.hh):
+     *  v("name", field...) per field, in declaration order. */
+    template <typename Visitor, typename... Stats>
+    static void
+    forEachField(Visitor &&v, Stats &...stats)
+    {
+        v("events", stats.events...);
+        v("mmaps", stats.mmaps...);
+        v("munmaps", stats.munmaps...);
+        v("minorFaults", stats.minorFaults...);
+        v("madviseFrees", stats.madviseFrees...);
+        v("extends", stats.extends...);
+        v("churnReleases", stats.churnReleases...);
+        v("dataPagesFreed", stats.dataPagesFreed...);
+        v("ptNodesFreed", stats.ptNodesFreed...);
+        v("churnFramesReleased", stats.churnFramesReleased...);
+        v("tlbInvalidated", stats.tlbInvalidated...);
+        v("pwcInvalidated", stats.pwcInvalidated...);
+        v("regionGrowthHoles", stats.regionGrowthHoles...);
+        v("regionRelocations", stats.regionRelocations...);
+        v("regionsReleased", stats.regionsReleased...);
+        v("regionFramesReleased", stats.regionFramesReleased...);
+    }
 };
 
 /**

@@ -1,7 +1,7 @@
 #include "exp/journal.hh"
 
 #include <cerrno>
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -29,303 +29,230 @@ fnv1a64(const std::string &bytes)
 namespace
 {
 
+using Counters = std::vector<std::pair<std::string, std::uint64_t>>;
+
 std::string
 u64Str(std::uint64_t v)
 {
     return strprintf("%llu", static_cast<unsigned long long>(v));
 }
 
-/** Strict u64 parse of a Json string member; false on absence or
- *  malformed digits. */
+/** The one u64 parser of every number the journal reads: a non-empty
+ *  run of @p base digits (10, or 16 for the cell key) that fits. No
+ *  sign, space or prefix — strtoull would read "-1" as 2^64 - 1. */
 bool
-getU64(const Json &obj, const char *key, std::uint64_t &out)
+parseU64(const std::string &text, int base, std::uint64_t &out)
 {
-    const Json *member = obj.find(key);
-    if (!member || member->type() != Json::Type::String)
-        return false;
-    const std::string &s = member->asString();
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    out = std::strtoull(s.c_str(), &end, 10);
-    return errno == 0 && end == s.c_str() + s.size();
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out, base);
+    return ec == std::errc() && ptr == end;
 }
 
-Json
-sampleStatToJson(const SampleStat &stat)
+/** A cell's RunStats as journal Json, per schema field type. u64s are
+ *  decimal strings: JSON numbers are doubles and lose bits past 2^53.
+ *  profile is not in the schema (see journal.hh). */
+struct FieldToJson
 {
-    Json out = Json::object();
-    out.set("count", u64Str(stat.count()));
-    out.set("sum", u64Str(stat.sum()));
-    out.set("min", u64Str(stat.min()));
-    out.set("max", u64Str(stat.max()));
-    // The exact second moment, as u64 halves (u128 has no decimal
-    // printer); needed so a resumed sweep's variance stays bit-exact.
-    out.set("sqHi", u64Str(stat.sumSquaresHi()));
-    out.set("sqLo", u64Str(stat.sumSquaresLo()));
-    return out;
-}
+    Json operator()(std::uint64_t value) const { return u64Str(value); }
 
-bool
-sampleStatFromJson(const Json &json, SampleStat &stat)
-{
-    std::uint64_t count, sum, min, max;
-    if (!getU64(json, "count", count) || !getU64(json, "sum", sum) ||
-        !getU64(json, "min", min) || !getU64(json, "max", max))
-        return false;
-    // Absent in journals written before the moment was tracked — an
-    // old journal restores with a zero second moment rather than
-    // failing its whole cell.
-    std::uint64_t sqHi = 0, sqLo = 0;
-    getU64(json, "sqHi", sqHi);
-    getU64(json, "sqLo", sqLo);
-    stat.restore(count, sum, min, max, sqHi, sqLo);
-    return true;
-}
-
-Json
-histToJson(const obs::Histogram &hist)
-{
-    Json out = Json::object();
-    out.set("count", u64Str(hist.count()));
-    out.set("sum", u64Str(hist.sum()));
-    Json buckets = Json::object();
-    for (std::size_t i = 0; i < obs::Histogram::numBuckets; ++i) {
-        if (hist.bucketCount(i))
-            buckets.set(u64Str(i), u64Str(hist.bucketCount(i)));
+    Json
+    operator()(const SampleStat &stat) const
+    {
+        Json out = Json::object();
+        out.set("count", u64Str(stat.count()));
+        out.set("sum", u64Str(stat.sum()));
+        out.set("min", u64Str(stat.min()));
+        out.set("max", u64Str(stat.max()));
+        // The exact second moment, as u64 halves (u128 has no decimal
+        // printer); needed so a resumed sweep's variance stays
+        // bit-exact.
+        out.set("sqHi", u64Str(stat.sumSquaresHi()));
+        out.set("sqLo", u64Str(stat.sumSquaresLo()));
+        return out;
     }
-    out.set("b", std::move(buckets));
-    return out;
-}
 
-bool
-histFromJson(const Json &json, obs::Histogram &hist)
-{
-    std::uint64_t count, sum;
-    if (!getU64(json, "count", count) || !getU64(json, "sum", sum))
-        return false;
-    const Json *buckets = json.find("b");
-    if (!buckets || buckets->type() != Json::Type::Object)
-        return false;
-    hist.reset();
-    for (const auto &[key, value] : buckets->members()) {
-        char *end = nullptr;
-        errno = 0;
-        const std::uint64_t index = std::strtoull(key.c_str(), &end, 10);
-        if (errno != 0 || end != key.c_str() + key.size() ||
-            index >= obs::Histogram::numBuckets ||
-            value.type() != Json::Type::String)
-            return false;
-        std::uint64_t n;
-        errno = 0;
-        n = std::strtoull(value.asString().c_str(), &end, 10);
-        if (errno != 0 ||
-            end != value.asString().c_str() + value.asString().size())
-            return false;
-        hist.setBucketCount(index, n);
+    Json
+    operator()(const LevelDistribution &dist) const
+    {
+        Json counts = Json::array();
+        for (std::size_t i = 0; i < numMemLevels; ++i)
+            counts.push(u64Str(dist.count(static_cast<MemLevel>(i))));
+        return counts;
     }
-    hist.setTotals(count, sum);
-    return true;
-}
 
-Json
-levelDistToJson(const LevelDistribution &dist)
-{
-    Json counts = Json::array();
-    for (std::size_t i = 0; i < numMemLevels; ++i)
-        counts.push(u64Str(dist.count(static_cast<MemLevel>(i))));
-    return counts;
-}
-
-bool
-levelDistFromJson(const Json &json, LevelDistribution &dist)
-{
-    if (json.type() != Json::Type::Array ||
-        json.items().size() != numMemLevels)
-        return false;
-    dist.reset();
-    for (std::size_t i = 0; i < numMemLevels; ++i) {
-        const Json &item = json.items()[i];
-        if (item.type() != Json::Type::String)
-            return false;
-        char *end = nullptr;
-        errno = 0;
-        const std::uint64_t n =
-            std::strtoull(item.asString().c_str(), &end, 10);
-        if (errno != 0 ||
-            end != item.asString().c_str() + item.asString().size())
-            return false;
-        dist.restoreCount(static_cast<MemLevel>(i), n);
+    /** Totals plus the non-empty buckets, keyed by index. */
+    Json
+    operator()(const obs::Histogram &hist) const
+    {
+        Json out = Json::object();
+        out.set("count", u64Str(hist.count()));
+        out.set("sum", u64Str(hist.sum()));
+        Json buckets = Json::object();
+        for (std::size_t i = 0; i < obs::Histogram::numBuckets; ++i) {
+            if (hist.bucketCount(i))
+                buckets.set(u64Str(i), u64Str(hist.bucketCount(i)));
+        }
+        out.set("b", std::move(buckets));
+        return out;
     }
-    return true;
-}
 
-Json
-asapStatsToJson(const AsapEngineStats &stats)
-{
-    Json out = Json::object();
-    out.set("triggers", u64Str(stats.triggers));
-    out.set("rangeHits", u64Str(stats.rangeHits));
-    out.set("attempted", u64Str(stats.attempted));
-    out.set("issued", u64Str(stats.issued));
-    return out;
-}
+    template <typename T, std::size_t N>
+    Json
+    operator()(const std::array<T, N> &items) const
+    {
+        Json out = Json::array();
+        for (const T &item : items)
+            out.push((*this)(item));
+        return out;
+    }
 
-bool
-asapStatsFromJson(const Json &json, AsapEngineStats &stats)
-{
-    return getU64(json, "triggers", stats.triggers) &&
-           getU64(json, "rangeHits", stats.rangeHits) &&
-           getU64(json, "attempted", stats.attempted) &&
-           getU64(json, "issued", stats.issued);
-}
+    /** [name, value] pairs, in registration order. */
+    Json
+    operator()(const Counters &counters) const
+    {
+        Json out = Json::array();
+        for (const auto &[name, value] : counters) {
+            Json pair = Json::array();
+            pair.push(name);
+            pair.push(u64Str(value));
+            out.push(std::move(pair));
+        }
+        return out;
+    }
 
-/** The OsDynStats fields, all plain u64 — kept in one table so the
- *  encoder and decoder cannot drift apart. */
-const std::vector<std::pair<const char *,
-                            std::uint64_t OsDynStats::*>> &
-dynFields()
-{
-    static const std::vector<std::pair<const char *,
-                                       std::uint64_t OsDynStats::*>>
-        fields = {
-            {"events", &OsDynStats::events},
-            {"mmaps", &OsDynStats::mmaps},
-            {"munmaps", &OsDynStats::munmaps},
-            {"minorFaults", &OsDynStats::minorFaults},
-            {"madviseFrees", &OsDynStats::madviseFrees},
-            {"extends", &OsDynStats::extends},
-            {"churnReleases", &OsDynStats::churnReleases},
-            {"dataPagesFreed", &OsDynStats::dataPagesFreed},
-            {"ptNodesFreed", &OsDynStats::ptNodesFreed},
-            {"churnFramesReleased", &OsDynStats::churnFramesReleased},
-            {"tlbInvalidated", &OsDynStats::tlbInvalidated},
-            {"pwcInvalidated", &OsDynStats::pwcInvalidated},
-            {"regionGrowthHoles", &OsDynStats::regionGrowthHoles},
-            {"regionRelocations", &OsDynStats::regionRelocations},
-            {"regionsReleased", &OsDynStats::regionsReleased},
-            {"regionFramesReleased", &OsDynStats::regionFramesReleased},
-        };
-    return fields;
-}
+    /** RunStats, AsapEngineStats, OsDynStats: an object keyed by field
+     *  name. */
+    template <typename Stats>
+    auto
+    operator()(const Stats &stats) const
+        -> decltype(Stats::forEachField(*this, stats), Json())
+    {
+        Json out = Json::object();
+        Stats::forEachField([&](const char *name, const auto &field) {
+            out.set(name, (*this)(field));
+        }, stats);
+        return out;
+    }
+};
 
-Json
-runStatsToJson(const RunStats &stats)
+/** The inverse of FieldToJson: false when a member is absent or
+ *  malformed (resume then recomputes the cell). */
+struct FieldFromJson
 {
-    Json out = Json::object();
-    out.set("accesses", u64Str(stats.accesses));
-    out.set("tlbL1Hits", u64Str(stats.tlbL1Hits));
-    out.set("tlbL2Hits", u64Str(stats.tlbL2Hits));
-    out.set("tlbMisses", u64Str(stats.tlbMisses));
-    out.set("faults", u64Str(stats.faults));
-    out.set("totalCycles", u64Str(stats.totalCycles));
-    out.set("walkCycles", u64Str(stats.walkCycles));
-    out.set("dataCycles", u64Str(stats.dataCycles));
-    out.set("computeCycles", u64Str(stats.computeCycles));
-    out.set("walkLatency", sampleStatToJson(stats.walkLatency));
-    Json levelDist = Json::array();
-    for (const LevelDistribution &dist : stats.levelDist)
-        levelDist.push(levelDistToJson(dist));
-    out.set("levelDist", std::move(levelDist));
-    out.set("walkHist", histToJson(stats.walkHist));
-    out.set("dataHist", histToJson(stats.dataHist));
-    Json levelHist = Json::array();
-    for (const obs::Histogram &hist : stats.levelHist)
-        levelHist.push(histToJson(hist));
-    out.set("levelHist", std::move(levelHist));
-    out.set("appAsap", asapStatsToJson(stats.appAsap));
-    out.set("hostAsap", asapStatsToJson(stats.hostAsap));
-    Json dyn = Json::object();
-    for (const auto &[name, member] : dynFields())
-        dyn.set(name, u64Str(stats.dyn.*member));
-    out.set("dyn", std::move(dyn));
-    Json counters = Json::array();
-    for (const auto &[name, value] : stats.counters) {
-        Json pair = Json::array();
-        pair.push(name);
-        pair.push(u64Str(value));
-        counters.push(std::move(pair));
+    /** A decimal u64, stored as a Json string. */
+    bool
+    operator()(const Json *json, std::uint64_t &value) const
+    {
+        return json && json->type() == Json::Type::String &&
+               parseU64(json->asString(), 10, value);
     }
-    out.set("counters", std::move(counters));
-    // profile: intentionally absent (nondeterministic; see file doc).
-    return out;
-}
 
-bool
-runStatsFromJson(const Json &json, RunStats &stats)
-{
-    if (json.type() != Json::Type::Object)
-        return false;
-    if (!getU64(json, "accesses", stats.accesses) ||
-        !getU64(json, "tlbL1Hits", stats.tlbL1Hits) ||
-        !getU64(json, "tlbL2Hits", stats.tlbL2Hits) ||
-        !getU64(json, "tlbMisses", stats.tlbMisses) ||
-        !getU64(json, "faults", stats.faults) ||
-        !getU64(json, "totalCycles", stats.totalCycles) ||
-        !getU64(json, "walkCycles", stats.walkCycles) ||
-        !getU64(json, "dataCycles", stats.dataCycles) ||
-        !getU64(json, "computeCycles", stats.computeCycles))
-        return false;
-    const Json *walkLatency = json.find("walkLatency");
-    if (!walkLatency || !sampleStatFromJson(*walkLatency,
-                                            stats.walkLatency))
-        return false;
-    const Json *levelDist = json.find("levelDist");
-    if (!levelDist || levelDist->type() != Json::Type::Array ||
-        levelDist->items().size() != stats.levelDist.size())
-        return false;
-    for (std::size_t i = 0; i < stats.levelDist.size(); ++i) {
-        if (!levelDistFromJson(levelDist->items()[i],
-                               stats.levelDist[i]))
+    bool
+    operator()(const Json *json, SampleStat &stat) const
+    {
+        std::uint64_t count, sum, min, max;
+        if (!json || !(*this)(json->find("count"), count) ||
+            !(*this)(json->find("sum"), sum) ||
+            !(*this)(json->find("min"), min) ||
+            !(*this)(json->find("max"), max))
             return false;
+        // Absent in journals written before the moment was tracked — an
+        // old journal restores with a zero second moment rather than
+        // failing its whole cell.
+        std::uint64_t sqHi = 0, sqLo = 0;
+        const Json *hi = json->find("sqHi");
+        const Json *lo = json->find("sqLo");
+        if ((hi && !(*this)(hi, sqHi)) || (lo && !(*this)(lo, sqLo)))
+            return false;
+        stat.restore(count, sum, min, max, sqHi, sqLo);
+        return true;
     }
-    const Json *walkHist = json.find("walkHist");
-    const Json *dataHist = json.find("dataHist");
-    if (!walkHist || !histFromJson(*walkHist, stats.walkHist) ||
-        !dataHist || !histFromJson(*dataHist, stats.dataHist))
-        return false;
-    const Json *levelHist = json.find("levelHist");
-    if (!levelHist || levelHist->type() != Json::Type::Array ||
-        levelHist->items().size() != stats.levelHist.size())
-        return false;
-    for (std::size_t i = 0; i < stats.levelHist.size(); ++i) {
-        if (!histFromJson(levelHist->items()[i], stats.levelHist[i]))
+
+    bool
+    operator()(const Json *json, LevelDistribution &dist) const
+    {
+        if (!json || json->type() != Json::Type::Array ||
+            json->items().size() != numMemLevels)
             return false;
+        dist.reset();
+        for (std::size_t i = 0; i < numMemLevels; ++i) {
+            std::uint64_t n;
+            if (!(*this)(&json->items()[i], n))
+                return false;
+            dist.restoreCount(static_cast<MemLevel>(i), n);
+        }
+        return true;
     }
-    const Json *appAsap = json.find("appAsap");
-    const Json *hostAsap = json.find("hostAsap");
-    if (!appAsap || !asapStatsFromJson(*appAsap, stats.appAsap) ||
-        !hostAsap || !asapStatsFromJson(*hostAsap, stats.hostAsap))
-        return false;
-    const Json *dyn = json.find("dyn");
-    if (!dyn || dyn->type() != Json::Type::Object)
-        return false;
-    for (const auto &[name, member] : dynFields()) {
-        if (!getU64(*dyn, name, stats.dyn.*member))
+
+    bool
+    operator()(const Json *json, obs::Histogram &hist) const
+    {
+        std::uint64_t count, sum;
+        if (!json || !(*this)(json->find("count"), count) ||
+            !(*this)(json->find("sum"), sum))
             return false;
+        const Json *buckets = json->find("b");
+        if (!buckets || buckets->type() != Json::Type::Object)
+            return false;
+        hist.reset();
+        for (const auto &[key, value] : buckets->members()) {
+            std::uint64_t index, n;
+            if (!parseU64(key, 10, index) ||
+                index >= obs::Histogram::numBuckets ||
+                !(*this)(&value, n))
+                return false;
+            hist.setBucketCount(index, n);
+        }
+        hist.setTotals(count, sum);
+        return true;
     }
-    const Json *counters = json.find("counters");
-    if (!counters || counters->type() != Json::Type::Array)
-        return false;
-    stats.counters.clear();
-    for (const Json &pair : counters->items()) {
-        if (pair.type() != Json::Type::Array ||
-            pair.items().size() != 2 ||
-            pair.items()[0].type() != Json::Type::String ||
-            pair.items()[1].type() != Json::Type::String)
+
+    template <typename T, std::size_t N>
+    bool
+    operator()(const Json *json, std::array<T, N> &items) const
+    {
+        if (!json || json->type() != Json::Type::Array ||
+            json->items().size() != N)
             return false;
-        char *end = nullptr;
-        const std::string &digits = pair.items()[1].asString();
-        errno = 0;
-        const std::uint64_t value =
-            std::strtoull(digits.c_str(), &end, 10);
-        if (errno != 0 || end != digits.c_str() + digits.size())
-            return false;
-        stats.counters.emplace_back(pair.items()[0].asString(), value);
+        for (std::size_t i = 0; i < N; ++i) {
+            if (!(*this)(&json->items()[i], items[i]))
+                return false;
+        }
+        return true;
     }
-    return true;
-}
+
+    bool
+    operator()(const Json *json, Counters &counters) const
+    {
+        if (!json || json->type() != Json::Type::Array)
+            return false;
+        counters.clear();
+        for (const Json &pair : json->items()) {
+            std::uint64_t value;
+            if (pair.type() != Json::Type::Array ||
+                pair.items().size() != 2 ||
+                pair.items()[0].type() != Json::Type::String ||
+                !(*this)(&pair.items()[1], value))
+                return false;
+            counters.emplace_back(pair.items()[0].asString(), value);
+        }
+        return true;
+    }
+
+    template <typename Stats>
+    auto
+    operator()(const Json *json, Stats &stats) const
+        -> decltype(Stats::forEachField(*this, stats), true)
+    {
+        if (!json || json->type() != Json::Type::Object)
+            return false;
+        bool ok = true;
+        Stats::forEachField([&](const char *name, auto &field) {
+            ok = ok && (*this)(json->find(name), field);
+        }, stats);
+        return ok;
+    }
+};
 
 bool
 statusCodeFromName(const std::string &name, StatusCode &code)
@@ -356,7 +283,7 @@ cellResultToJson(const CellResult &result)
     out.set("attempts",
             static_cast<double>(result.attempts));
     if (result.measured)
-        out.set("stats", runStatsToJson(result.stats));
+        out.set("stats", FieldToJson{}(result.stats));
     if (!result.extra.empty()) {
         Json extra = Json::object();
         for (const auto &[key, value] : result.extra)
@@ -396,8 +323,7 @@ cellResultFromJson(const Json &json, CellResult &result)
                                       : std::string());
     out.attempts = static_cast<unsigned>(attempts->asNumber());
     if (out.measured) {
-        const Json *stats = json.find("stats");
-        if (!stats || !runStatsFromJson(*stats, out.stats))
+        if (!FieldFromJson{}(json.find("stats"), out.stats))
             return false;
     }
     const Json *extra = json.find("extra");
@@ -516,18 +442,9 @@ CellJournal::open(const std::string &name, std::size_t cellCount,
                 key->type() != Json::Type::String)
                 continue;
             std::uint64_t keyValue = 0;
-            {
-                char *end = nullptr;
-                errno = 0;
-                keyValue = std::strtoull(key->asString().c_str(), &end,
-                                         16);
-                if (errno != 0 ||
-                    end != key->asString().c_str() +
-                               key->asString().size())
-                    continue;
-            }
             CellResult result;
-            if (!cellResultFromJson(*doc, result))
+            if (!parseU64(key->asString(), 16, keyValue) ||
+                !cellResultFromJson(*doc, result))
                 continue;
             const auto index =
                 static_cast<std::size_t>(cell->asNumber());

@@ -25,27 +25,6 @@ seedOf(const RunConfig &config, unsigned tenant)
     return config.seed ^ (0x9e3779b97f4a7c15ULL * tenant);
 }
 
-/** Positional sum of identically-shaped counter snapshots (the
- *  RunStats::merge convention: same structures, same name lists). */
-void
-addInto(std::vector<std::pair<std::string, std::uint64_t>> &into,
-        const std::vector<std::pair<std::string, std::uint64_t>> &from)
-{
-    if (into.empty()) {
-        into = from;
-        return;
-    }
-    panic_if(into.size() != from.size(),
-             "mc counter lists differ (%zu vs %zu)", into.size(),
-             from.size());
-    for (std::size_t i = 0; i < into.size(); ++i) {
-        panic_if(into[i].first != from[i].first,
-                 "mc counter %zu name mismatch (%s vs %s)", i,
-                 into[i].first.c_str(), from[i].first.c_str());
-        into[i].second += from[i].second;
-    }
-}
-
 } // namespace
 
 MultiCoreSimulator::MultiCoreSimulator(const McConfig &mcConfig,
@@ -297,7 +276,7 @@ MultiCoreSimulator::collectAggregateCounters() const
     for (const Core &core : cores_) {
         obs::Registry registry;
         Machine::registerMemTlbCounters(registry, *core.mem, *core.tlb);
-        addInto(counters, registry.snapshot());
+        mergeCounters(counters, registry.snapshot());
     }
     // ... except the LLC, which is one shared structure every core's
     // hierarchy points at: the positional sum counted it once per
@@ -318,7 +297,7 @@ MultiCoreSimulator::collectAggregateCounters() const
         for (const auto &machine : tenant->machines) {
             obs::Registry registry;
             machine->registerTranslationCounters(registry);
-            addInto(translation, registry.snapshot());
+            mergeCounters(translation, registry.snapshot());
         }
     }
     counters.insert(counters.end(), translation.begin(),
@@ -330,7 +309,7 @@ MultiCoreSimulator::collectAggregateCounters() const
     for (const auto &tenant : tenants_) {
         obs::Registry registry;
         tenant->system->registerCounters(registry);
-        addInto(system, registry.snapshot());
+        mergeCounters(system, registry.snapshot());
 
         dyn.merge(tenant->stream.dynSoFar());
     }
@@ -437,7 +416,7 @@ MultiCoreSimulator::finalizeTenant(unsigned tenant)
     for (const auto &machine : tn.machines) {
         obs::Registry registry;
         machine->registerTranslationCounters(registry);
-        addInto(counters, registry.snapshot());
+        mergeCounters(counters, registry.snapshot());
     }
     {
         obs::Registry registry;

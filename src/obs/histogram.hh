@@ -116,6 +116,13 @@ class Histogram
         sum_ += other.sum_;
     }
 
+    bool
+    operator==(const Histogram &other) const
+    {
+        return buckets_ == other.buckets_ && count_ == other.count_ &&
+               sum_ == other.sum_;
+    }
+
     std::uint64_t count() const { return count_; }
     std::uint64_t sum() const { return sum_; }
     std::uint64_t bucketCount(std::size_t i) const { return buckets_[i]; }

@@ -11,17 +11,16 @@ namespace
 /** Addresses generated per Workload::nextBatch call. */
 constexpr std::size_t accessBatch = 1024;
 
-AsapEngineStats
-engineStats(const AsapEngine *engine)
+/** Add @p engine's lifetime counters (none when absent) to @p stats. */
+void
+addEngine(AsapEngineStats &stats, const AsapEngine *engine)
 {
-    AsapEngineStats s;
     if (engine) {
-        s.triggers = engine->triggers();
-        s.rangeHits = engine->rangeHits();
-        s.attempted = engine->attempted();
-        s.issued = engine->issued();
+        stats.triggers += engine->triggers();
+        stats.rangeHits += engine->rangeHits();
+        stats.attempted += engine->attempted();
+        stats.issued += engine->issued();
     }
-    return s;
 }
 
 } // namespace
@@ -218,8 +217,8 @@ AccessStream::finish(Cycles now)
 void
 AccessStream::addEngineStats(const Machine &machine)
 {
-    stats_.appAsap.merge(engineStats(machine.appEngine()));
-    stats_.hostAsap.merge(engineStats(machine.hostEngine()));
+    addEngine(stats_.appAsap, machine.appEngine());
+    addEngine(stats_.hostAsap, machine.hostEngine());
 }
 
 } // namespace asap

@@ -38,57 +38,128 @@ class MachineShootdownTarget final : public ShootdownTarget
     Machine &machine_;
 };
 
+using Counters = std::vector<std::pair<std::string, std::uint64_t>>;
+
+/** RunStats::merge, per schema field type. */
+struct MergeField
+{
+    void
+    operator()(const char *, std::uint64_t &sum, std::uint64_t add) const
+    {
+        sum += add;
+    }
+
+    /** SampleStat, LevelDistribution, obs::Histogram, OsDynStats. */
+    template <typename T>
+    auto
+    operator()(const char *, T &into, const T &from) const
+        -> decltype(into.merge(from))
+    {
+        into.merge(from);
+    }
+
+    template <typename T, std::size_t N>
+    void
+    operator()(const char *name, std::array<T, N> &into,
+               const std::array<T, N> &from) const
+    {
+        for (std::size_t i = 0; i < N; ++i)
+            (*this)(name, into[i], from[i]);
+    }
+
+    void
+    operator()(const char *, AsapEngineStats &into,
+               const AsapEngineStats &from) const
+    {
+        AsapEngineStats::forEachField(*this, into, from);
+    }
+
+    void
+    operator()(const char *, Counters &into, const Counters &from) const
+    {
+        mergeCounters(into, from);
+    }
+};
+
+/** diff(), per schema field type: records the path of the first
+ *  mismatch into @p first. */
+struct DiffField
+{
+    std::string prefix;
+    std::string &first;
+
+    template <typename T>
+    auto
+    operator()(const std::string &name, const T &a, const T &b) const
+        -> decltype(void(a == b))
+    {
+        if (first.empty() && !(a == b))
+            first = prefix + name;
+    }
+
+    template <typename T, std::size_t N>
+    void
+    operator()(const std::string &name, const std::array<T, N> &a,
+               const std::array<T, N> &b) const
+    {
+        for (std::size_t i = 0; i < N; ++i)
+            (*this)(strprintf("%s[%zu]", name.c_str(), i), a[i], b[i]);
+    }
+
+    void
+    operator()(const std::string &name, const Counters &a,
+               const Counters &b) const
+    {
+        const auto at = std::mismatch(a.begin(), a.end(), b.begin(), b.end());
+        if (at.first != a.end() && at.second != b.end())
+            (*this)(name + "[" + at.first->first + "]", *at.first, *at.second);
+        else
+            (*this)(name, a.size(), b.size());
+    }
+
+    /** AsapEngineStats, OsDynStats: their own fields, prefixed. */
+    template <typename T>
+    auto
+    operator()(const std::string &name, const T &a, const T &b) const
+        -> decltype(T::forEachField(*this, a, b))
+    {
+        T::forEachField(DiffField{prefix + name + ".", first}, a, b);
+    }
+};
+
 } // namespace
+
+void
+mergeCounters(Counters &into, const Counters &from)
+{
+    if (into.empty()) {
+        into = from;
+        return;
+    }
+    panic_if(into.size() != from.size(),
+             "counter lists differ (%zu vs %zu)", into.size(), from.size());
+    for (std::size_t i = 0; i < into.size(); ++i) {
+        panic_if(into[i].first != from[i].first,
+                 "counter %zu name mismatch (%s vs %s)", i,
+                 into[i].first.c_str(), from[i].first.c_str());
+        into[i].second += from[i].second;
+    }
+}
 
 void
 RunStats::merge(const RunStats &other)
 {
-    accesses += other.accesses;
-    tlbL1Hits += other.tlbL1Hits;
-    tlbL2Hits += other.tlbL2Hits;
-    tlbMisses += other.tlbMisses;
-    faults += other.faults;
+    // Parallel replay rejects dynamic traces, so there dyn is all zero
+    // — but merge stays total so any aggregation can rely on it.
+    forEachField(MergeField{}, *this, other);
+}
 
-    walkLatency.merge(other.walkLatency);
-    for (std::size_t i = 0; i < levelDist.size(); ++i)
-        levelDist[i].merge(other.levelDist[i]);
-    walkHist.merge(other.walkHist);
-    dataHist.merge(other.dataHist);
-    for (std::size_t i = 0; i < levelHist.size(); ++i)
-        levelHist[i].merge(other.levelHist[i]);
-
-    totalCycles += other.totalCycles;
-    walkCycles += other.walkCycles;
-    dataCycles += other.dataCycles;
-    computeCycles += other.computeCycles;
-
-    appAsap.merge(other.appAsap);
-    hostAsap.merge(other.hostAsap);
-
-    // Parallel replay rejects dynamic traces, so in that use these are
-    // all zero — but merge stays total so any aggregation can rely on it.
-    dyn.merge(other.dyn);
-
-    // Counter snapshots add positionally: identically configured
-    // machines register the identical name list in the identical
-    // order, and a mismatch means the caller merged across different
-    // machine configurations — a programming error.
-    if (counters.empty()) {
-        counters = other.counters;
-    } else {
-        panic_if(counters.size() != other.counters.size(),
-                 "RunStats::merge: counter lists differ (%zu vs %zu)",
-                 counters.size(), other.counters.size());
-        for (std::size_t i = 0; i < counters.size(); ++i) {
-            panic_if(counters[i].first != other.counters[i].first,
-                     "RunStats::merge: counter %zu name mismatch "
-                     "(%s vs %s)",
-                     i, counters[i].first.c_str(),
-                     other.counters[i].first.c_str());
-            counters[i].second += other.counters[i].second;
-        }
-    }
-    // profile: deliberately untouched (see the declaration).
+std::string
+diff(const RunStats &a, const RunStats &b)
+{
+    std::string first;
+    RunStats::forEachField(DiffField{"", first}, a, b);
+    return first;
 }
 
 RunStats

@@ -78,14 +78,15 @@ struct AsapEngineStats
     std::uint64_t attempted = 0;   ///< per-level prefetches attempted
     std::uint64_t issued = 0;      ///< accepted by the hierarchy
 
-    /** Fold another engine's counters in (parallel-replay merge). */
-    void
-    merge(const AsapEngineStats &other)
+    /** The AsapEngineStats schema (part of RunStats's, below). */
+    template <typename Visitor, typename... Stats>
+    static void
+    forEachField(Visitor &&v, Stats &...stats)
     {
-        triggers += other.triggers;
-        rangeHits += other.rangeHits;
-        attempted += other.attempted;
-        issued += other.issued;
+        v("triggers", stats.triggers...);
+        v("rangeHits", stats.rangeHits...);
+        v("attempted", stats.attempted...);
+        v("issued", stats.issued...);
     }
 };
 
@@ -129,7 +130,7 @@ struct RunStats
     std::vector<std::pair<std::string, std::uint64_t>> counters;
 
     /** Wall-clock self-profile (nondeterministic; JSON artifacts
-     *  only, never compared). */
+     *  only, never compared; outside the schema). */
     obs::SelfProfile profile;
 
     double
@@ -179,7 +180,52 @@ struct RunStats
      * parallel run themselves.
      */
     void merge(const RunStats &other);
+
+    /**
+     * The RunStats schema: v("name", field...) once per field, with
+     * that member of every @p stats; appAsap, hostAsap and dyn are
+     * visited whole (they have their own forEachField). merge, diff,
+     * the journal codec and trace_convert --verify are generated from
+     * it, so a new field needs one line here. The order is the
+     * journal's key order (exp::Json keeps insertion order, so it fixes
+     * the journal bytes). profile is deliberately absent.
+     */
+    template <typename Visitor, typename... Stats>
+    static void
+    forEachField(Visitor &&v, Stats &...stats)
+    {
+        v("accesses", stats.accesses...);
+        v("tlbL1Hits", stats.tlbL1Hits...);
+        v("tlbL2Hits", stats.tlbL2Hits...);
+        v("tlbMisses", stats.tlbMisses...);
+        v("faults", stats.faults...);
+        v("totalCycles", stats.totalCycles...);
+        v("walkCycles", stats.walkCycles...);
+        v("dataCycles", stats.dataCycles...);
+        v("computeCycles", stats.computeCycles...);
+        v("walkLatency", stats.walkLatency...);
+        v("levelDist", stats.levelDist...);
+        v("walkHist", stats.walkHist...);
+        v("dataHist", stats.dataHist...);
+        v("levelHist", stats.levelHist...);
+        v("appAsap", stats.appAsap...);
+        v("hostAsap", stats.hostAsap...);
+        v("dyn", stats.dyn...);
+        v("counters", stats.counters...);
+    }
 };
+
+/** Add counter snapshot @p from into @p into positionally (a copy
+ *  when @p into is empty); panics when the name lists differ. */
+void mergeCounters(
+    std::vector<std::pair<std::string, std::uint64_t>> &into,
+    const std::vector<std::pair<std::string, std::uint64_t>> &from);
+
+/** The first schema field in which @p a and @p b differ ("" when none),
+ *  as a path: "tlbMisses", "levelDist[3]", "hostAsap.issued",
+ *  "counters[<name>]" ("counters" when one list is a prefix of the
+ *  other). Exact: moments and buckets included. */
+std::string diff(const RunStats &a, const RunStats &b);
 
 class Simulator
 {

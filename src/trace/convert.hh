@@ -117,8 +117,8 @@ std::string traceAccessStatsJson(const TraceFile &trace);
 
 /**
  * Replay both traces on a fresh native System with the paper-default
- * machine and compare RunStats field by field. @p report receives a
- * one-line-per-field account of any mismatch. Only meaningful when
+ * machine and compare every RunStats field (diff()). @p report
+ * receives the first differing field's name. Only meaningful when
  * both files carry the same full stream (a sampled trace legitimately
  * diverges from its source).
  */

@@ -28,7 +28,26 @@
 #include "sim/machine.hh"
 #include "sim/simulator.hh"
 #include "sim/system.hh"
+#include "workloads/dynamic.hh"
 #include "workloads/synthetic.hh"
+
+// examples/golden_dump includes this header without linking gtest.
+#if __has_include(<gtest/gtest.h>)
+#include <gtest/gtest.h>
+
+namespace asap
+{
+
+/** Every RunStats field of @p a and @p b is equal; a failure names the
+ *  first field that is not (diff()). */
+inline void
+expectSameStats(const RunStats &a, const RunStats &b)
+{
+    EXPECT_EQ(diff(a, b), "");
+}
+
+} // namespace asap
+#endif
 
 namespace asap::golden
 {
@@ -121,11 +140,11 @@ goldenRunConfig(bool colocation)
 }
 
 /** Run one scenario from a fresh System (no ASAP_QUICK interference)
- *  under @p run. */
+ *  under @p run, on @p spec. */
 inline RunStats
-runScenario(const Scenario &scenario, const RunConfig &run)
+runScenario(const Scenario &scenario, const RunConfig &run,
+            const WorkloadSpec &spec = goldenSpec())
 {
-    const WorkloadSpec spec = goldenSpec();
     System system(makeSystemConfig(spec, scenario.env));
     const std::unique_ptr<Workload> workload = makeWorkload(spec);
     workload->setup(system);
@@ -141,7 +160,19 @@ runScenario(const Scenario &scenario)
     return runScenario(scenario, goldenRunConfig(scenario.colocation));
 }
 
-/** Everything the golden tests pin, flattened to integers. */
+/** The golden workload with tenant churn on native_asap: a short run
+ *  in which dyn, levelHist, the ASAP engines and the counters are all
+ *  non-zero. */
+inline RunStats
+runChurnScenario()
+{
+    return runScenario(goldenScenarios()[1], goldenRunConfig(false),
+                       withDynamics(goldenSpec(), "tenants", 1.0, 3'000));
+}
+
+/** Everything the pinned golden literals hold, flattened to integers
+ *  (tests/test_sim.cc and examples/golden_dump only; run-vs-run
+ *  equivalence uses expectSameStats, which compares every field). */
 struct Expect
 {
     std::uint64_t tlbL1Hits, tlbL2Hits, tlbMisses, faults;

@@ -60,23 +60,6 @@ tinyRun()
     return run;
 }
 
-bool
-sameStats(const golden::Expect &a, const golden::Expect &b)
-{
-    return a.tlbL1Hits == b.tlbL1Hits && a.tlbL2Hits == b.tlbL2Hits &&
-           a.tlbMisses == b.tlbMisses && a.faults == b.faults &&
-           a.walkCount == b.walkCount && a.walkSum == b.walkSum &&
-           a.walkMin == b.walkMin && a.walkMax == b.walkMax &&
-           a.totalCycles == b.totalCycles &&
-           a.walkCycles == b.walkCycles && a.dataCycles == b.dataCycles &&
-           a.computeCycles == b.computeCycles &&
-           a.levelTotal == b.levelTotal && a.levelPwc == b.levelPwc &&
-           a.levelDram == b.levelDram && a.appTriggers == b.appTriggers &&
-           a.appRangeHits == b.appRangeHits &&
-           a.appAttempted == b.appAttempted &&
-           a.appIssued == b.appIssued && a.hostIssued == b.hostIssued;
-}
-
 } // namespace
 
 // ---------------------------------------------------------------------------
@@ -455,8 +438,7 @@ TEST(ZeroEvents, GoldenScenariosBitIdentical)
     // pins the batch-capping logic too).
     for (const golden::Scenario &scenario : golden::goldenScenarios()) {
         SCOPED_TRACE(scenario.name);
-        const golden::Expect plain =
-            golden::flatten(golden::runScenario(scenario));
+        const RunStats plain = golden::runScenario(scenario);
 
         const WorkloadSpec spec = withDynamics(
             golden::goldenSpec(), "server", 1.0,
@@ -470,7 +452,7 @@ TEST(ZeroEvents, GoldenScenariosBitIdentical)
         const RunStats stats =
             simulator.run(golden::goldenRunConfig(scenario.colocation));
         EXPECT_EQ(stats.dyn.events, 0u);
-        EXPECT_TRUE(sameStats(plain, golden::flatten(stats)));
+        expectSameStats(plain, stats);
     }
 }
 
@@ -482,14 +464,9 @@ TEST(ChurnRun, TenantsProfileExercisesLifecycle)
 {
     const WorkloadSpec spec =
         withDynamics(tinySpec(), "tenants", 1.0, 5'000);
-    EnvironmentOptions env;
-    env.asapPlacement = true;
-    System system(makeSystemConfig(spec, env));
-    const auto workload = makeWorkload(spec);
-    workload->setup(system);
-    Machine machine(system, makeMachineConfig(AsapConfig::p1p2()));
-    Simulator simulator(system, machine, *workload);
-    const RunStats stats = simulator.run(tinyRun());
+    const golden::Scenario nativeAsap = golden::goldenScenarios()[1];
+    ASSERT_TRUE(nativeAsap.env.asapPlacement);
+    const RunStats stats = golden::runScenario(nativeAsap, tinyRun(), spec);
 
     // Stats invariants hold under churn.
     EXPECT_EQ(stats.accesses, 80'000u);
@@ -512,16 +489,8 @@ TEST(ChurnRun, TenantsProfileExercisesLifecycle)
     EXPECT_GT(stats.dyn.regionsReleased, 0u);
 
     // Determinism: the same churn run twice from fresh state agrees.
-    System system2(makeSystemConfig(spec, env));
-    const auto workload2 = makeWorkload(spec);
-    workload2->setup(system2);
-    Machine machine2(system2, makeMachineConfig(AsapConfig::p1p2()));
-    Simulator simulator2(system2, machine2, *workload2);
-    const RunStats again = simulator2.run(tinyRun());
-    EXPECT_TRUE(sameStats(golden::flatten(stats),
-                          golden::flatten(again)));
-    EXPECT_EQ(stats.dyn.tlbInvalidated, again.dyn.tlbInvalidated);
-    EXPECT_EQ(stats.dyn.dataPagesFreed, again.dyn.dataPagesFreed);
+    expectSameStats(stats,
+                    golden::runScenario(nativeAsap, tinyRun(), spec));
 }
 
 TEST(ChurnRun, VirtualizedTenantsRun)
@@ -565,10 +534,7 @@ TEST(ChurnRun, SweepPrivatizesDynamicEnvironments)
     const exp::ResultSet results = exp::SweepRunner(2).run(sweep);
     const RunStats &a = results.stats("r", "first");
     const RunStats &b = results.stats("r", "second");
-    EXPECT_TRUE(sameStats(golden::flatten(a), golden::flatten(b)));
-    EXPECT_EQ(a.faults, b.faults);
-    EXPECT_EQ(a.dyn.dataPagesFreed, b.dyn.dataPagesFreed);
-    EXPECT_EQ(a.dyn.tlbInvalidated, b.dyn.tlbInvalidated);
+    expectSameStats(a, b);
 }
 
 // ---------------------------------------------------------------------------
@@ -583,15 +549,9 @@ TEST(DynTrace, RecordReplayBitIdentical)
     EnvironmentOptions env;
     env.asapPlacement = true;
 
-    RunStats live;
-    {
-        System system(makeSystemConfig(spec, env));
-        const auto workload = makeWorkload(spec);
-        workload->setup(system);
-        Machine machine(system, makeMachineConfig(AsapConfig::p1p2()));
-        Simulator simulator(system, machine, *workload);
-        live = simulator.run(run);
-    }
+    // native_asap: the same placement and machine as the replays below.
+    const RunStats live =
+        golden::runScenario(golden::goldenScenarios()[1], run, spec);
 
     const std::string path = "dyn_roundtrip.trc2";
     RecordOptions options;
@@ -614,13 +574,7 @@ TEST(DynTrace, RecordReplayBitIdentical)
         Simulator simulator(system, machine, replay);
         replayed = simulator.run(run);
     }
-    EXPECT_TRUE(sameStats(golden::flatten(live),
-                          golden::flatten(replayed)));
-    EXPECT_EQ(live.dyn.events, replayed.dyn.events);
-    EXPECT_EQ(live.dyn.munmaps, replayed.dyn.munmaps);
-    EXPECT_EQ(live.dyn.dataPagesFreed, replayed.dyn.dataPagesFreed);
-    EXPECT_EQ(live.dyn.tlbInvalidated, replayed.dyn.tlbInvalidated);
-    EXPECT_EQ(live.dyn.pwcInvalidated, replayed.dyn.pwcInvalidated);
+    expectSameStats(live, replayed);
 
     // Re-containering (rechunk + compress) preserves the event stream
     // and hence the replayed RunStats, bit for bit.
@@ -638,9 +592,7 @@ TEST(DynTrace, RecordReplayBitIdentical)
         Simulator simulator(system, machine, replay);
         reconverted = simulator.run(run);
     }
-    EXPECT_TRUE(sameStats(golden::flatten(live),
-                          golden::flatten(reconverted)));
-    EXPECT_EQ(live.dyn.events, reconverted.dyn.events);
+    expectSameStats(live, reconverted);
 
     std::remove(path.c_str());
     std::remove(rechunked.c_str());

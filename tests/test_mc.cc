@@ -45,65 +45,6 @@ makeTenant(const WorkloadSpec &spec, const EnvironmentOptions &env)
     return tenant;
 }
 
-void
-expectFlattenEqual(const golden::Expect &a, const golden::Expect &b)
-{
-    EXPECT_EQ(a.tlbL1Hits, b.tlbL1Hits);
-    EXPECT_EQ(a.tlbL2Hits, b.tlbL2Hits);
-    EXPECT_EQ(a.tlbMisses, b.tlbMisses);
-    EXPECT_EQ(a.faults, b.faults);
-    EXPECT_EQ(a.walkCount, b.walkCount);
-    EXPECT_EQ(a.walkSum, b.walkSum);
-    EXPECT_EQ(a.walkMin, b.walkMin);
-    EXPECT_EQ(a.walkMax, b.walkMax);
-    EXPECT_EQ(a.totalCycles, b.totalCycles);
-    EXPECT_EQ(a.walkCycles, b.walkCycles);
-    EXPECT_EQ(a.dataCycles, b.dataCycles);
-    EXPECT_EQ(a.computeCycles, b.computeCycles);
-    for (unsigned i = 0; i < 5; ++i) {
-        EXPECT_EQ(a.levelTotal[i], b.levelTotal[i]);
-        EXPECT_EQ(a.levelPwc[i], b.levelPwc[i]);
-        EXPECT_EQ(a.levelDram[i], b.levelDram[i]);
-    }
-    EXPECT_EQ(a.appTriggers, b.appTriggers);
-    EXPECT_EQ(a.appRangeHits, b.appRangeHits);
-    EXPECT_EQ(a.appAttempted, b.appAttempted);
-    EXPECT_EQ(a.appIssued, b.appIssued);
-    EXPECT_EQ(a.hostIssued, b.hostIssued);
-}
-
-void
-expectCountersEqual(const RunStats &a, const RunStats &b)
-{
-    ASSERT_EQ(a.counters.size(), b.counters.size());
-    for (std::size_t i = 0; i < a.counters.size(); ++i) {
-        EXPECT_EQ(a.counters[i].first, b.counters[i].first);
-        EXPECT_EQ(a.counters[i].second, b.counters[i].second)
-            << a.counters[i].first;
-    }
-}
-
-void
-expectDynEqual(const OsDynStats &a, const OsDynStats &b)
-{
-    EXPECT_EQ(a.events, b.events);
-    EXPECT_EQ(a.mmaps, b.mmaps);
-    EXPECT_EQ(a.munmaps, b.munmaps);
-    EXPECT_EQ(a.minorFaults, b.minorFaults);
-    EXPECT_EQ(a.madviseFrees, b.madviseFrees);
-    EXPECT_EQ(a.extends, b.extends);
-    EXPECT_EQ(a.churnReleases, b.churnReleases);
-    EXPECT_EQ(a.dataPagesFreed, b.dataPagesFreed);
-    EXPECT_EQ(a.ptNodesFreed, b.ptNodesFreed);
-    EXPECT_EQ(a.churnFramesReleased, b.churnFramesReleased);
-    EXPECT_EQ(a.tlbInvalidated, b.tlbInvalidated);
-    EXPECT_EQ(a.pwcInvalidated, b.pwcInvalidated);
-    EXPECT_EQ(a.regionGrowthHoles, b.regionGrowthHoles);
-    EXPECT_EQ(a.regionRelocations, b.regionRelocations);
-    EXPECT_EQ(a.regionsReleased, b.regionsReleased);
-    EXPECT_EQ(a.regionFramesReleased, b.regionFramesReleased);
-}
-
 /** Run a golden scenario through the mc model, 1 core / 1 tenant,
  *  under @p run. */
 mc::McResult
@@ -139,23 +80,15 @@ TEST(McSerialIdentity, GoldenScenariosBitIdentical)
         SCOPED_TRACE(scenario.name);
         const RunStats serial = golden::runScenario(scenario);
         const mc::McResult result = runScenarioMc(scenario, 8192);
-        const RunStats &agg = result.aggregate;
-
-        expectFlattenEqual(golden::flatten(serial),
-                           golden::flatten(agg));
-        EXPECT_EQ(serial.accesses, agg.accesses);
-        expectCountersEqual(serial, agg);
-        expectDynEqual(serial.dyn, agg.dyn);
-        EXPECT_EQ(serial.walkHist.p50(), agg.walkHist.p50());
-        EXPECT_EQ(serial.walkHist.p99(), agg.walkHist.p99());
-        EXPECT_EQ(serial.walkHist.p999(), agg.walkHist.p999());
-        EXPECT_EQ(serial.dataHist.p50(), agg.dataHist.p50());
-        EXPECT_EQ(serial.dataHist.p99(), agg.dataHist.p99());
+        expectSameStats(serial, result.aggregate);
 
         // The per-tenant view of a 1-tenant run is the aggregate.
         ASSERT_EQ(result.tenants.size(), 1u);
-        expectFlattenEqual(golden::flatten(serial),
-                           golden::flatten(result.tenants[0]));
+        RunStats tenant = result.tenants[0];
+        // By design a tenant's counters omit the core-shared cache/TLB
+        // counters and add its mc.* attribution.
+        tenant.counters = serial.counters;
+        expectSameStats(serial, tenant);
 
         // The ideal-TLB path (Table 6) at an odd quantum, so quanta
         // straddle the warmup/measure boundary on that path too.
@@ -165,13 +98,7 @@ TEST(McSerialIdentity, GoldenScenariosBitIdentical)
             golden::runScenario(scenario, perfect);
         const mc::McResult perfectResult =
             runScenarioMc(scenario, 123, perfect);
-        const RunStats &mcPerfect = perfectResult.aggregate;
-        expectFlattenEqual(golden::flatten(serialPerfect),
-                           golden::flatten(mcPerfect));
-        EXPECT_EQ(serialPerfect.accesses, mcPerfect.accesses);
-        expectCountersEqual(serialPerfect, mcPerfect);
-        EXPECT_EQ(serialPerfect.dataHist.p50(), mcPerfect.dataHist.p50());
-        EXPECT_EQ(serialPerfect.dataHist.p99(), mcPerfect.dataHist.p99());
+        expectSameStats(serialPerfect, perfectResult.aggregate);
     }
 }
 
@@ -183,9 +110,7 @@ TEST(McSerialIdentity, QuantumSizeIsStatsNeutral)
     const golden::Scenario native = golden::goldenScenarios().front();
     const RunStats serial = golden::runScenario(native);
     const mc::McResult odd = runScenarioMc(native, 123);
-    expectFlattenEqual(golden::flatten(serial),
-                       golden::flatten(odd.aggregate));
-    expectCountersEqual(serial, odd.aggregate);
+    expectSameStats(serial, odd.aggregate);
 }
 
 TEST(McSerialIdentity, DynamicRunBitIdentical)
@@ -209,10 +134,7 @@ TEST(McSerialIdentity, DynamicRunBitIdentical)
     sim.addTenant(*mcTenant.system, *mcTenant.workload);
     const mc::McResult result = sim.run(run);
 
-    expectFlattenEqual(golden::flatten(serial),
-                       golden::flatten(result.aggregate));
-    expectDynEqual(serial.dyn, result.aggregate.dyn);
-    expectCountersEqual(serial, result.aggregate);
+    expectSameStats(serial, result.aggregate);
 }
 
 // ---------------------------------------------------------------------------
@@ -253,13 +175,12 @@ TEST(McScheduler, DeterministicAcrossRepeatedRuns)
     const mc::McResult a = runMulti(2, 3, true, spec, run);
     const mc::McResult b = runMulti(2, 3, true, spec, run);
 
-    expectCountersEqual(a.aggregate, b.aggregate);
+    expectSameStats(a.aggregate, b.aggregate);
     EXPECT_EQ(a.slots, b.slots);
     EXPECT_EQ(a.maxCoreCycle, b.maxCoreCycle);
     ASSERT_EQ(a.tenants.size(), b.tenants.size());
     for (std::size_t t = 0; t < a.tenants.size(); ++t) {
-        expectFlattenEqual(golden::flatten(a.tenants[t]),
-                           golden::flatten(b.tenants[t]));
+        expectSameStats(a.tenants[t], b.tenants[t]);
         EXPECT_EQ(a.tenantMc[t].shootdowns, b.tenantMc[t].shootdowns);
         EXPECT_EQ(a.tenantMc[t].ipisSent, b.tenantMc[t].ipisSent);
         EXPECT_EQ(a.tenantMc[t].ipiSendWaitCycles,
@@ -427,23 +348,10 @@ TEST(McStats, TenantStatsSumToAggregate)
         merged.merge(tenant);
 
     const RunStats &agg = result.aggregate;
-    EXPECT_EQ(merged.accesses, agg.accesses);
-    EXPECT_EQ(merged.tlbL1Hits, agg.tlbL1Hits);
-    EXPECT_EQ(merged.tlbL2Hits, agg.tlbL2Hits);
-    EXPECT_EQ(merged.tlbMisses, agg.tlbMisses);
-    EXPECT_EQ(merged.faults, agg.faults);
-    EXPECT_EQ(merged.walkLatency.count(), agg.walkLatency.count());
-    EXPECT_EQ(merged.walkLatency.sum(), agg.walkLatency.sum());
-    EXPECT_EQ(merged.totalCycles, agg.totalCycles);
-    EXPECT_EQ(merged.walkCycles, agg.walkCycles);
-    EXPECT_EQ(merged.dataCycles, agg.dataCycles);
-    EXPECT_EQ(merged.computeCycles, agg.computeCycles);
-    EXPECT_EQ(merged.walkHist.p50(), agg.walkHist.p50());
-    EXPECT_EQ(merged.walkHist.p99(), agg.walkHist.p99());
-    EXPECT_EQ(merged.dataHist.p99(), agg.dataHist.p99());
-    expectDynEqual(merged.dyn, agg.dyn);
-    EXPECT_EQ(merged.appAsap.triggers, agg.appAsap.triggers);
-    EXPECT_EQ(merged.appAsap.issued, agg.appAsap.issued);
+    // The aggregate's counters are assembled per core and machine, not
+    // merged from the tenants' lists (checked below).
+    merged.counters = agg.counters;
+    expectSameStats(merged, agg);
 
     // The assembled aggregate counter list carries the mc.* telemetry
     // (multi-tenant shape) and its dyn slice equals the merged one.

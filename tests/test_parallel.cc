@@ -59,73 +59,6 @@ goldenTracePath()
     return path;
 }
 
-void
-expectHistogramEq(const obs::Histogram &got, const obs::Histogram &want)
-{
-    EXPECT_EQ(got.count(), want.count());
-    EXPECT_EQ(got.sum(), want.sum());
-    for (std::size_t i = 0; i < obs::Histogram::numBuckets; ++i)
-        EXPECT_EQ(got.bucketCount(i), want.bucketCount(i));
-    EXPECT_EQ(got.p50(), want.p50());
-    EXPECT_EQ(got.p90(), want.p90());
-    EXPECT_EQ(got.p99(), want.p99());
-    EXPECT_EQ(got.p999(), want.p999());
-}
-
-void
-expectSampleStatEq(const SampleStat &got, const SampleStat &want)
-{
-    EXPECT_EQ(got.count(), want.count());
-    EXPECT_EQ(got.sum(), want.sum());
-    EXPECT_EQ(got.min(), want.min());
-    EXPECT_EQ(got.max(), want.max());
-    EXPECT_EQ(got.sumSquaresHi(), want.sumSquaresHi());
-    EXPECT_EQ(got.sumSquaresLo(), want.sumSquaresLo());
-}
-
-/** Every deterministic RunStats field, bit-for-bit. */
-void
-expectRunStatsEq(const RunStats &got, const RunStats &want)
-{
-    EXPECT_EQ(got.accesses, want.accesses);
-    EXPECT_EQ(got.tlbL1Hits, want.tlbL1Hits);
-    EXPECT_EQ(got.tlbL2Hits, want.tlbL2Hits);
-    EXPECT_EQ(got.tlbMisses, want.tlbMisses);
-    EXPECT_EQ(got.faults, want.faults);
-    expectSampleStatEq(got.walkLatency, want.walkLatency);
-    for (unsigned level = 0; level < 6; ++level) {
-        SCOPED_TRACE(level);
-        EXPECT_EQ(got.levelDist[level].total(),
-                  want.levelDist[level].total());
-        for (std::size_t l = 0; l < numMemLevels; ++l) {
-            EXPECT_EQ(
-                got.levelDist[level].count(static_cast<MemLevel>(l)),
-                want.levelDist[level].count(static_cast<MemLevel>(l)));
-        }
-        expectHistogramEq(got.levelHist[level], want.levelHist[level]);
-    }
-    expectHistogramEq(got.walkHist, want.walkHist);
-    expectHistogramEq(got.dataHist, want.dataHist);
-    EXPECT_EQ(got.totalCycles, want.totalCycles);
-    EXPECT_EQ(got.walkCycles, want.walkCycles);
-    EXPECT_EQ(got.dataCycles, want.dataCycles);
-    EXPECT_EQ(got.computeCycles, want.computeCycles);
-    EXPECT_EQ(got.appAsap.triggers, want.appAsap.triggers);
-    EXPECT_EQ(got.appAsap.rangeHits, want.appAsap.rangeHits);
-    EXPECT_EQ(got.appAsap.attempted, want.appAsap.attempted);
-    EXPECT_EQ(got.appAsap.issued, want.appAsap.issued);
-    EXPECT_EQ(got.hostAsap.issued, want.hostAsap.issued);
-    EXPECT_EQ(got.dyn.events, want.dyn.events);
-    EXPECT_EQ(got.dyn.minorFaults, want.dyn.minorFaults);
-    EXPECT_EQ(got.dyn.tlbInvalidated, want.dyn.tlbInvalidated);
-    ASSERT_EQ(got.counters.size(), want.counters.size());
-    for (std::size_t i = 0; i < got.counters.size(); ++i) {
-        EXPECT_EQ(got.counters[i].first, want.counters[i].first);
-        EXPECT_EQ(got.counters[i].second, want.counters[i].second)
-            << got.counters[i].first;
-    }
-}
-
 /**
  * One shard must reproduce a plain serial replay bit-for-bit: the seek
  * to the warmup boundary is positionally a no-op. Covered for two
@@ -151,7 +84,7 @@ TEST(ParallelReplay, OneShardBitIdenticalToSerial)
         StatusOr<RunStats> merged = runParallelReplay(
             spec, scenario.env, scenario.machine, run, options);
         ASSERT_TRUE(merged.ok()) << merged.status().toString();
-        expectRunStatsEq(*merged, serial);
+        expectSameStats(*merged, serial);
     }
 }
 
@@ -185,7 +118,7 @@ TEST(ParallelReplay, ThreadCountInvariant)
             spec, scenario.env, scenario.machine, run, wide);
         ASSERT_TRUE(many.ok()) << many.status().toString();
 
-        expectRunStatsEq(*many, *one);
+        expectSameStats(*many, *one);
 
         // Slices cover the measure phase exactly once.
         EXPECT_EQ(one->accesses, measureTotal);
@@ -283,7 +216,7 @@ TEST(SampleStatMerge, MatchesSerialForUnequalPartitions)
         SampleStat merged;
         for (const SampleStat &part : parts)
             merged.merge(part);
-        expectSampleStatEq(merged, serial);
+        EXPECT_EQ(merged, serial);
         EXPECT_DOUBLE_EQ(merged.variance(), serial.variance());
         EXPECT_DOUBLE_EQ(merged.stddev(), serial.stddev());
 
@@ -296,7 +229,7 @@ TEST(SampleStatMerge, MatchesSerialForUnequalPartitions)
             right.merge(parts[2]);
             SampleStat first = parts[0];
             first.merge(right);
-            expectSampleStatEq(first, left);
+            EXPECT_EQ(first, left);
         }
     }
 }
@@ -313,7 +246,7 @@ TEST(SampleStatMerge, RestoreRoundTripsSecondMoment)
     SampleStat restored;
     restored.restore(stat.count(), stat.sum(), stat.min(), stat.max(),
                      stat.sumSquaresHi(), stat.sumSquaresLo());
-    expectSampleStatEq(restored, stat);
+    EXPECT_EQ(restored, stat);
     EXPECT_DOUBLE_EQ(restored.variance(), stat.variance());
 }
 

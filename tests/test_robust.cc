@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "golden_scenarios.hh"
 #include "common/fault_inject.hh"
 #include "common/status.hh"
 #include "exp/journal.hh"
@@ -528,6 +529,58 @@ TEST(Journal, CellResultRoundTrips)
     EXPECT_EQ(bigBack.stats.accesses, (1ull << 60) + 12345);
     EXPECT_EQ(bigBack.stats.totalCycles, UINT64_MAX - 7);
     EXPECT_EQ(bigBack.extra.at("vmas"), 42.0);
+
+    // A full RunStats (dyn, histograms, engine counters, registry
+    // counters) survives the journal bit for bit.
+    exp::CellResult churn;
+    churn.row = "r";
+    churn.column = "churn";
+    churn.measured = true;
+    churn.attempts = 1;
+    churn.stats = golden::runChurnScenario();
+    const RunStats &stats = churn.stats;
+    ASSERT_GT(stats.dyn.events, 0u);
+    ASSERT_GT(stats.levelHist[1].count(), 0u);
+    ASSERT_FALSE(stats.counters.empty());
+    exp::CellResult churnBack;
+    ASSERT_TRUE(exp::cellResultFromJson(exp::cellResultToJson(churn),
+                                        churnBack));
+    expectSameStats(churnBack.stats, stats);
+
+    // Every u64 the journal reads is strict: a sign or a space rejects
+    // the cell (resume recomputes it) instead of restoring "-1" as
+    // 2^64 - 1. Each site is a prefix of the compact dump plus the
+    // quoted value that follows it.
+    std::size_t bucket = 0;
+    while (stats.walkHist.bucketCount(bucket) == 0)
+        ++bucket;
+    const auto quoted = [](std::uint64_t v) {
+        return "\"" + std::to_string(v) + "\"";
+    };
+    const std::vector<std::pair<std::string, std::uint64_t>> sites = {
+        {"\"accesses\":", stats.accesses},
+        {"\"b\":{" + quoted(bucket) + ":",
+         stats.walkHist.bucketCount(bucket)},
+        {"\"levelDist\":[[", stats.levelDist[0].count(MemLevel::Pwc)},
+        {"\"counters\":[[\"" + stats.counters[0].first + "\",",
+         stats.counters[0].second},
+    };
+    const std::string text = exp::cellResultToJson(churn).dump();
+    for (const auto &[prefix, value] : sites) {
+        const std::string site = prefix + quoted(value);
+        const std::size_t at = text.find(site);
+        ASSERT_NE(at, std::string::npos) << site;
+        for (const char *bad : {"-1", "+7", " 9"}) {
+            SCOPED_TRACE(site + " -> " + bad);
+            std::string mutated = text;
+            mutated.replace(at, site.size(),
+                            prefix + "\"" + bad + "\"");
+            const auto doc = exp::Json::parse(mutated);
+            ASSERT_TRUE(doc.has_value());
+            exp::CellResult rejected;
+            EXPECT_FALSE(exp::cellResultFromJson(*doc, rejected));
+        }
+    }
 
     exp::Json junk = exp::Json::object();
     junk.set("row", 3.0);   // wrong type

@@ -6,7 +6,9 @@
  */
 
 #include <cstdio>
+#include <functional>
 #include <map>
+#include <type_traits>
 
 #include <gtest/gtest.h>
 
@@ -184,9 +186,7 @@ TEST(Simulator, DeterministicAcrossRuns)
     Environment env2(tinySpec());
     const RunStats a = env1.run(makeMachineConfig(), tinyRun());
     const RunStats b = env2.run(makeMachineConfig(), tinyRun());
-    EXPECT_EQ(a.tlbMisses, b.tlbMisses);
-    EXPECT_EQ(a.walkLatency.sum(), b.walkLatency.sum());
-    EXPECT_EQ(a.totalCycles, b.totalCycles);
+    expectSameStats(a, b);
 }
 
 TEST(Simulator, SeedChangesStream)
@@ -491,8 +491,7 @@ TEST(Golden, TraceReplayBitIdentical)
         if (scenario.name != "native_asap" && scenario.name != "virt_2d")
             continue;
         SCOPED_TRACE(scenario.name);
-        const golden::Expect live =
-            golden::flatten(golden::runScenario(scenario));
+        const RunStats live = golden::runScenario(scenario);
 
         System system(makeSystemConfig(golden::goldenSpec(),
                                        scenario.env));
@@ -500,31 +499,89 @@ TEST(Golden, TraceReplayBitIdentical)
         replay.setup(system);
         Machine machine(system, scenario.machine);
         Simulator simulator(system, machine, replay);
-        const golden::Expect got = golden::flatten(
-            simulator.run(golden::goldenRunConfig(scenario.colocation)));
-
-        EXPECT_EQ(got.tlbL1Hits, live.tlbL1Hits);
-        EXPECT_EQ(got.tlbL2Hits, live.tlbL2Hits);
-        EXPECT_EQ(got.tlbMisses, live.tlbMisses);
-        EXPECT_EQ(got.faults, live.faults);
-        EXPECT_EQ(got.walkCount, live.walkCount);
-        EXPECT_EQ(got.walkSum, live.walkSum);
-        EXPECT_EQ(got.walkMin, live.walkMin);
-        EXPECT_EQ(got.walkMax, live.walkMax);
-        EXPECT_EQ(got.totalCycles, live.totalCycles);
-        EXPECT_EQ(got.walkCycles, live.walkCycles);
-        EXPECT_EQ(got.dataCycles, live.dataCycles);
-        EXPECT_EQ(got.computeCycles, live.computeCycles);
-        EXPECT_EQ(got.levelTotal, live.levelTotal);
-        EXPECT_EQ(got.levelPwc, live.levelPwc);
-        EXPECT_EQ(got.levelDram, live.levelDram);
-        EXPECT_EQ(got.appTriggers, live.appTriggers);
-        EXPECT_EQ(got.appRangeHits, live.appRangeHits);
-        EXPECT_EQ(got.appAttempted, live.appAttempted);
-        EXPECT_EQ(got.appIssued, live.appIssued);
-        EXPECT_EQ(got.hostIssued, live.hostIssued);
+        expectSameStats(
+            simulator.run(golden::goldenRunConfig(scenario.colocation)),
+            live);
     }
     std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// RunStats schema (forEachField): diff and merge
+// ---------------------------------------------------------------------------
+
+TEST(RunStatsSchema, DiffNamesTheChangedField)
+{
+    const RunStats base = golden::runChurnScenario();
+    ASSERT_GT(base.counters.size(), 5u);
+    EXPECT_EQ(diff(base, base), "");
+
+    const std::vector<std::pair<std::string,
+                                std::function<void(RunStats &)>>>
+        cases = {
+            {"tlbMisses", [](RunStats &s) { ++s.tlbMisses; }},
+            {"walkLatency", [](RunStats &s) { s.walkLatency.sample(9); }},
+            {"levelDist[3]",
+             [](RunStats &s) { s.levelDist[3].record(MemLevel::Dram); }},
+            {"levelHist[2]", [](RunStats &s) { s.levelHist[2].sample(7); }},
+            {"dataHist", [](RunStats &s) { s.dataHist.sample(100); }},
+            {"hostAsap.attempted",
+             [](RunStats &s) { ++s.hostAsap.attempted; }},
+            {"dyn.ptNodesFreed", [](RunStats &s) { ++s.dyn.ptNodesFreed; }},
+            {"counters[" + base.counters[5].first + "]",
+             [](RunStats &s) { ++s.counters[5].second; }},
+            {"counters", [](RunStats &s) { s.counters.pop_back(); }},
+        };
+    for (const auto &[field, change] : cases) {
+        RunStats changed = base;
+        change(changed);
+        EXPECT_EQ(diff(base, changed), field);
+        EXPECT_EQ(diff(changed, base), field);
+    }
+}
+
+namespace
+{
+
+/** Checks every u64 the schema reaches in @p twice is 2x @p once. */
+struct ExpectDoubled
+{
+    void
+    operator()(const char *name, std::uint64_t twice,
+               std::uint64_t once) const
+    {
+        EXPECT_EQ(twice, 2 * once) << name;
+    }
+
+    template <typename T>
+    void
+    operator()(const char *, const T &twice, const T &once) const
+    {
+        if constexpr (std::is_same_v<T, AsapEngineStats> ||
+                      std::is_same_v<T, OsDynStats>) {
+            T::forEachField(*this, twice, once);
+        } else if constexpr (std::is_same_v<T,
+                                            decltype(RunStats::counters)>) {
+            ASSERT_EQ(twice.size(), once.size());
+            for (std::size_t i = 0; i < once.size(); ++i)
+                (*this)(once[i].first.c_str(), twice[i].second,
+                        once[i].second);
+        }
+        // Moments, distributions and histograms merge through their
+        // own merge(), pinned by the parallel-replay suite.
+    }
+};
+
+} // namespace
+
+TEST(RunStatsSchema, MergeWithSelfDoublesEveryU64)
+{
+    const RunStats once = golden::runChurnScenario();
+    EXPECT_GT(once.dyn.events, 0u);
+    EXPECT_GT(once.appAsap.issued, 0u);
+    RunStats twice = once;
+    twice.merge(once);
+    RunStats::forEachField(ExpectDoubled{}, twice, once);
 }
 
 /** Parameterized: every ASAP config yields identical translations to

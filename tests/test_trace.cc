@@ -75,44 +75,6 @@ replayAddresses(const std::string &path, std::size_t count)
     return out;
 }
 
-void
-expectStatsEqual(const golden::Expect &live, const golden::Expect &rep)
-{
-    EXPECT_EQ(live.tlbL1Hits, rep.tlbL1Hits);
-    EXPECT_EQ(live.tlbL2Hits, rep.tlbL2Hits);
-    EXPECT_EQ(live.tlbMisses, rep.tlbMisses);
-    EXPECT_EQ(live.faults, rep.faults);
-    EXPECT_EQ(live.walkCount, rep.walkCount);
-    EXPECT_EQ(live.walkSum, rep.walkSum);
-    EXPECT_EQ(live.walkMin, rep.walkMin);
-    EXPECT_EQ(live.walkMax, rep.walkMax);
-    EXPECT_EQ(live.totalCycles, rep.totalCycles);
-    EXPECT_EQ(live.walkCycles, rep.walkCycles);
-    EXPECT_EQ(live.dataCycles, rep.dataCycles);
-    EXPECT_EQ(live.computeCycles, rep.computeCycles);
-    EXPECT_EQ(live.levelTotal, rep.levelTotal);
-    EXPECT_EQ(live.levelPwc, rep.levelPwc);
-    EXPECT_EQ(live.levelDram, rep.levelDram);
-    EXPECT_EQ(live.appTriggers, rep.appTriggers);
-    EXPECT_EQ(live.appRangeHits, rep.appRangeHits);
-    EXPECT_EQ(live.appAttempted, rep.appAttempted);
-    EXPECT_EQ(live.appIssued, rep.appIssued);
-    EXPECT_EQ(live.hostIssued, rep.hostIssued);
-}
-
-/** Run @p spec on a fresh System (live generator or trace replay). */
-RunStats
-runFresh(const WorkloadSpec &spec, const EnvironmentOptions &options,
-         const MachineConfig &machine, const RunConfig &run)
-{
-    System system(makeSystemConfig(spec, options));
-    const auto workload = makeWorkload(spec);
-    workload->setup(system);
-    Machine m(system, machine);
-    Simulator simulator(system, m, *workload);
-    return simulator.run(run);
-}
-
 } // namespace
 
 TEST(TraceFormat, HeaderRoundTrip)
@@ -370,6 +332,7 @@ TEST(TraceReplay, RoundTripAllSuiteWorkloads)
     run.measureAccesses = 8'000;
     run.seed = 7;
 
+    const golden::Scenario native = golden::goldenScenarios().front();
     for (const WorkloadSpec &full : standardSuite()) {
         SCOPED_TRACE(full.name);
         const WorkloadSpec spec = scaledDown(full, 64);
@@ -379,12 +342,8 @@ TEST(TraceReplay, RoundTripAllSuiteWorkloads)
                     run.warmupAccesses + run.measureAccesses);
         const WorkloadSpec replay = traceSpec(trace.path());
 
-        const EnvironmentOptions options;
-        const MachineConfig machine;
-        const RunStats live = runFresh(spec, options, machine, run);
-        const RunStats replayed = runFresh(replay, options, machine, run);
-        expectStatsEqual(golden::flatten(live),
-                         golden::flatten(replayed));
+        const RunStats live = golden::runScenario(native, run, spec);
+        expectSameStats(live, golden::runScenario(native, run, replay));
         EXPECT_EQ(live.accesses, run.measureAccesses);
     }
 }

@@ -73,37 +73,6 @@ decodeAll(const std::string &path)
     return out;
 }
 
-/** Run @p spec on a fresh System (live generator or trace replay). */
-RunStats
-runFresh(const WorkloadSpec &spec, const EnvironmentOptions &options,
-         const MachineConfig &machine, const RunConfig &run)
-{
-    System system(makeSystemConfig(spec, options));
-    const auto workload = makeWorkload(spec);
-    workload->setup(system);
-    Machine m(system, machine);
-    Simulator simulator(system, m, *workload);
-    return simulator.run(run);
-}
-
-void
-expectStatsEqual(const golden::Expect &live, const golden::Expect &rep)
-{
-    EXPECT_EQ(live.tlbL1Hits, rep.tlbL1Hits);
-    EXPECT_EQ(live.tlbL2Hits, rep.tlbL2Hits);
-    EXPECT_EQ(live.tlbMisses, rep.tlbMisses);
-    EXPECT_EQ(live.faults, rep.faults);
-    EXPECT_EQ(live.walkCount, rep.walkCount);
-    EXPECT_EQ(live.walkSum, rep.walkSum);
-    EXPECT_EQ(live.totalCycles, rep.totalCycles);
-    EXPECT_EQ(live.walkCycles, rep.walkCycles);
-    EXPECT_EQ(live.dataCycles, rep.dataCycles);
-    EXPECT_EQ(live.computeCycles, rep.computeCycles);
-    EXPECT_EQ(live.levelTotal, rep.levelTotal);
-    EXPECT_EQ(live.appIssued, rep.appIssued);
-    EXPECT_EQ(live.hostIssued, rep.hostIssued);
-}
-
 /** Copy @p src to @p dst with byte @p offset xor'd by @p mask. */
 void
 corruptCopy(const std::string &src, const std::string &dst,
@@ -343,7 +312,9 @@ TEST(Trc2Replay, RoundTripAllSuiteWorkloads)
     run.measureAccesses = 8'000;
     run.seed = 7;
 
-    const MachineConfig machine;
+    const golden::Scenario native = golden::goldenScenarios()[0];
+    const golden::Scenario virt = golden::goldenScenarios()[2];
+    ASSERT_TRUE(virt.env.virtualized);
     bool virtChecked = false;
     for (const WorkloadSpec &full : standardSuite()) {
         SCOPED_TRACE(full.name);
@@ -355,21 +326,13 @@ TEST(Trc2Replay, RoundTripAllSuiteWorkloads)
         convertToV2(v1.path(), v2.path(), Trc2Options{});
         const WorkloadSpec replay = traceSpec(v2.path());
 
-        const EnvironmentOptions native;
-        const RunStats live = runFresh(spec, native, machine, run);
-        const RunStats replayed = runFresh(replay, native, machine, run);
-        expectStatsEqual(golden::flatten(live),
-                         golden::flatten(replayed));
+        expectSameStats(golden::runScenario(native, run, spec),
+                        golden::runScenario(native, run, replay));
 
         if (!virtChecked) {
             // Second golden environment: virtualized 2D walks.
-            EnvironmentOptions virt;
-            virt.virtualized = true;
-            const RunStats liveVirt = runFresh(spec, virt, machine, run);
-            const RunStats replayedVirt =
-                runFresh(replay, virt, machine, run);
-            expectStatsEqual(golden::flatten(liveVirt),
-                             golden::flatten(replayedVirt));
+            expectSameStats(golden::runScenario(virt, run, spec),
+                            golden::runScenario(virt, run, replay));
             virtChecked = true;
         }
     }
