@@ -5,20 +5,31 @@
 namespace asap
 {
 
-std::uint64_t
-Histogram::quantile(double q) const
+void
+appendCounter(Counters &counters, std::string name, std::uint64_t value)
 {
-    if (count_ == 0)
-        return 0;
-    const auto target = static_cast<std::uint64_t>(
-        q * static_cast<double>(count_));
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        seen += buckets_[i];
-        if (seen > target)
-            return (i + 1) * bucketWidth_;
+    for (const auto &counter : counters) {
+        panic_if(counter.first == name, "duplicate counter '%s'",
+                 name.c_str());
     }
-    return buckets_.size() * bucketWidth_;
+    counters.emplace_back(std::move(name), value);
+}
+
+void
+mergeCounters(Counters &into, const Counters &from)
+{
+    if (into.empty()) {
+        into = from;
+        return;
+    }
+    panic_if(into.size() != from.size(),
+             "counter lists differ (%zu vs %zu)", into.size(), from.size());
+    for (std::size_t i = 0; i < into.size(); ++i) {
+        panic_if(into[i].first != from[i].first,
+                 "counter %zu name mismatch (%s vs %s)", i,
+                 into[i].first.c_str(), from[i].first.c_str());
+        into[i].second += from[i].second;
+    }
 }
 
 std::string

@@ -1,7 +1,7 @@
 /**
  * @file
- * Lightweight statistics primitives: scalar counters, mean/min/max
- * accumulators, bucketed histograms and per-MemLevel distributions.
+ * Lightweight statistics primitives: named counter lists, mean/min/max
+ * accumulators and per-MemLevel distributions.
  *
  * These deliberately avoid any global registry: each simulator component
  * owns its stats and the scenario runner aggregates them into reports.
@@ -16,12 +16,29 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/mem_level.hh"
 
 namespace asap
 {
+
+/**
+ * Named lifetime counters ("l1d.hits", "tlb.l2Misses", "dyn.events",
+ * ...) in assembly order: RunStats::counters, a Timeline epoch's
+ * snapshot, a sweep cell's counter columns.
+ */
+using Counters = std::vector<std::pair<std::string, std::uint64_t>>;
+
+/** Append @p name = @p value; panics when @p counters already holds
+ *  @p name (two components claiming one column is a wiring bug). */
+void appendCounter(Counters &counters, std::string name,
+                   std::uint64_t value);
+
+/** Add @p from into @p into positionally (a copy when @p into is
+ *  empty); panics when the name lists differ. */
+void mergeCounters(Counters &into, const Counters &from);
 
 /**
  * Accumulates samples of a scalar quantity (e.g. page-walk latency) and
@@ -147,47 +164,6 @@ class SampleStat
     unsigned __int128 sumSquares_ = 0;
     std::uint64_t min_ = std::numeric_limits<std::uint64_t>::max();
     std::uint64_t max_ = 0;
-};
-
-/**
- * Histogram with fixed-width buckets plus an overflow bucket.
- */
-class Histogram
-{
-  public:
-    Histogram(std::uint64_t bucketWidth, std::size_t numBuckets)
-        : bucketWidth_(bucketWidth), buckets_(numBuckets + 1, 0)
-    {}
-
-    void
-    sample(std::uint64_t value)
-    {
-        std::size_t idx = value / bucketWidth_;
-        if (idx >= buckets_.size() - 1)
-            idx = buckets_.size() - 1;
-        ++buckets_[idx];
-        ++count_;
-    }
-
-    std::uint64_t count() const { return count_; }
-    std::uint64_t bucketWidth() const { return bucketWidth_; }
-    std::size_t numBuckets() const { return buckets_.size(); }
-    std::uint64_t bucketCount(std::size_t i) const { return buckets_.at(i); }
-
-    /** Approximate p-quantile (0 <= q <= 1) from bucket boundaries. */
-    std::uint64_t quantile(double q) const;
-
-    void
-    reset()
-    {
-        std::fill(buckets_.begin(), buckets_.end(), 0);
-        count_ = 0;
-    }
-
-  private:
-    std::uint64_t bucketWidth_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t count_ = 0;
 };
 
 /**

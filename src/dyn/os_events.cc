@@ -139,11 +139,10 @@ OsDynStats::merge(const OsDynStats &other)
 }
 
 void
-OsDynStats::appendCounters(
-    std::vector<std::pair<std::string, std::uint64_t>> &counters) const
+OsDynStats::appendCounters(Counters &counters) const
 {
     forEachField([&counters](const char *name, std::uint64_t value) {
-        counters.emplace_back(std::string("dyn.") + name, value);
+        appendCounter(counters, std::string("dyn.") + name, value);
     }, *this);
 }
 

@@ -34,9 +34,9 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace asap
@@ -121,9 +121,7 @@ struct OsDynStats
 
     /** Append every field as a `dyn.<field>` counter, in schema order
      *  (the sweep columns' order). */
-    void appendCounters(
-        std::vector<std::pair<std::string, std::uint64_t>> &counters)
-        const;
+    void appendCounters(Counters &counters) const;
 
     /** The OsDynStats schema (part of RunStats's, sim/simulator.hh):
      *  v("name", field...) per field, in declaration order. */

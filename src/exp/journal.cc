@@ -2,9 +2,11 @@
 
 #include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -29,8 +31,6 @@ fnv1a64(const std::string &bytes)
 namespace
 {
 
-using Counters = std::vector<std::pair<std::string, std::uint64_t>>;
-
 std::string
 u64Str(std::uint64_t v)
 {
@@ -46,6 +46,21 @@ parseU64(const std::string &text, int base, std::uint64_t &out)
     const char *end = text.data() + text.size();
     const auto [ptr, ec] = std::from_chars(text.data(), end, out, base);
     return ec == std::errc() && ptr == end;
+}
+
+/** A Json number that is an integer in [0, @p limit), as a u64; false
+ *  for anything else (negative, fractional, NaN, huge). Checked before
+ *  the cast: converting an out-of-range double is undefined. */
+bool
+integerBelow(const Json &json, double limit, std::uint64_t &out)
+{
+    if (json.type() != Json::Type::Number)
+        return false;
+    const double value = json.asNumber();
+    if (!(value >= 0.0 && value < limit) || value != std::floor(value))
+        return false;
+    out = static_cast<std::uint64_t>(value);
+    return true;
 }
 
 /** A cell's RunStats as journal Json, per schema field type. u64s are
@@ -306,8 +321,12 @@ cellResultFromJson(const Json &json, CellResult &result)
     if (!row || row->type() != Json::Type::String || !column ||
         column->type() != Json::Type::String || !measured ||
         measured->type() != Json::Type::Bool || !statusCode ||
-        statusCode->type() != Json::Type::String || !attempts ||
-        attempts->type() != Json::Type::Number)
+        statusCode->type() != Json::Type::String || !attempts)
+        return false;
+    std::uint64_t attemptCount = 0;
+    if (!integerBelow(*attempts,
+                      std::numeric_limits<unsigned>::max() + 1.0,
+                      attemptCount))
         return false;
     CellResult out;
     out.row = row->asString();
@@ -321,7 +340,7 @@ cellResultFromJson(const Json &json, CellResult &result)
         return false;
     out.status = Status(code, message ? message->asString()
                                       : std::string());
-    out.attempts = static_cast<unsigned>(attempts->asNumber());
+    out.attempts = static_cast<unsigned>(attemptCount);
     if (out.measured) {
         if (!FieldFromJson{}(json.find("stats"), out.stats))
             return false;
@@ -426,8 +445,7 @@ CellJournal::open(const std::string &name, std::size_t cellCount,
                     sweep->type() == Json::Type::String &&
                     sweep->asString() == name && cells &&
                     cells->type() == Json::Type::Number &&
-                    static_cast<std::size_t>(cells->asNumber()) ==
-                        cellCount;
+                    cells->asNumber() == static_cast<double>(cellCount);
                 if (!headerOk) {
                     warn("journal %s does not match this sweep; "
                          "recomputing all cells",
@@ -438,17 +456,16 @@ CellJournal::open(const std::string &name, std::size_t cellCount,
             }
             const Json *cell = doc->find("cell");
             const Json *key = doc->find("key");
-            if (!cell || cell->type() != Json::Type::Number || !key ||
-                key->type() != Json::Type::String)
+            std::uint64_t index = 0;
+            if (!cell ||
+                !integerBelow(*cell, static_cast<double>(cellCount),
+                              index) ||
+                !key || key->type() != Json::Type::String)
                 continue;
             std::uint64_t keyValue = 0;
             CellResult result;
             if (!parseU64(key->asString(), 16, keyValue) ||
                 !cellResultFromJson(*doc, result))
-                continue;
-            const auto index =
-                static_cast<std::size_t>(cell->asNumber());
-            if (index >= cellCount)
                 continue;
             result.resumed = true;
             loaded_[index] = {keyValue, std::move(result)};

@@ -147,16 +147,15 @@ cellStatColumns()
             {"walkLatencyP999", [](C c) { return double(c.stats.walkHist.p999()); }},
             {"dataLatencyP50", [](C c) { return double(c.stats.dataHist.p50()); }},
             {"dataLatencyP99", [](C c) { return double(c.stats.dataHist.p99()); }},
-            // The dyn* and component counters that used to be
-            // hand-plumbed here now flow through RunStats::counters
-            // (obs::Registry) — see counterKeys()/counterOf below.
+            // The dyn.* and component counters come from
+            // RunStats::counters — see counterKeys()/counterOf below.
         };
     return columns;
 }
 
-/** Union of counter names across cells, in first-cell registration
- *  order (every measured cell registers the same machine+system+dyn
- *  set, so this is just "the first measured cell's order"). */
+/** Union of counter names across cells, in first-cell order (every
+ *  measured cell carries the same machine+system+dyn list, so this is
+ *  just "the first measured cell's order"). */
 std::vector<std::string>
 counterKeys(const std::vector<CellResult> &cells)
 {

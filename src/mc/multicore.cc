@@ -25,6 +25,17 @@ seedOf(const RunConfig &config, unsigned tenant)
     return config.seed ^ (0x9e3779b97f4a7c15ULL * tenant);
 }
 
+/** The five mc.* attribution entries, per tenant or summed. */
+void
+appendTenantMcCounters(Counters &counters, const TenantStats &mc)
+{
+    appendCounter(counters, "mc.shootdowns", mc.shootdowns);
+    appendCounter(counters, "mc.ipisSent", mc.ipisSent);
+    appendCounter(counters, "mc.ipiSendWaitCycles", mc.ipiSendWaitCycles);
+    appendCounter(counters, "mc.ipiRemoteCycles", mc.ipiRemoteCycles);
+    appendCounter(counters, "mc.switchInCycles", mc.switchInCycles);
+}
+
 } // namespace
 
 MultiCoreSimulator::MultiCoreSimulator(const McConfig &mcConfig,
@@ -266,17 +277,16 @@ MultiCoreSimulator::maxCoreNow() const
     return max;
 }
 
-std::vector<std::pair<std::string, std::uint64_t>>
+Counters
 MultiCoreSimulator::collectAggregateCounters() const
 {
-    // Core-shared hardware first, in the serial name order
-    // (registerMemTlbCounters is the single source of the list), summed
+    // Core-shared hardware first, in the serial name order, summed
     // positionally across cores ...
-    std::vector<std::pair<std::string, std::uint64_t>> counters;
+    Counters counters;
     for (const Core &core : cores_) {
-        obs::Registry registry;
-        Machine::registerMemTlbCounters(registry, *core.mem, *core.tlb);
-        mergeCounters(counters, registry.snapshot());
+        Counters one;
+        Machine::appendMemTlbCounters(one, *core.mem, *core.tlb);
+        mergeCounters(counters, one);
     }
     // ... except the LLC, which is one shared structure every core's
     // hierarchy points at: the positional sum counted it once per
@@ -290,31 +300,16 @@ MultiCoreSimulator::collectAggregateCounters() const
         }
     }
 
-    // Tenant-private translation machinery, summed over every
-    // (tenant, core) machine.
-    std::vector<std::pair<std::string, std::uint64_t>> translation;
+    // Every tenant's address-space counters, summed over tenants.
+    Counters spaces;
     for (const auto &tenant : tenants_) {
-        for (const auto &machine : tenant->machines) {
-            obs::Registry registry;
-            machine->registerTranslationCounters(registry);
-            mergeCounters(translation, registry.snapshot());
-        }
+        Counters one;
+        appendAddressSpaceCounters(one, tenant->machines, *tenant->system,
+                                   tenant->stream.dynSoFar());
+        mergeCounters(spaces, one);
     }
-    counters.insert(counters.end(), translation.begin(),
-                    translation.end());
-
-    // OS-side state, summed over tenants.
-    std::vector<std::pair<std::string, std::uint64_t>> system;
-    OsDynStats dyn{};
-    for (const auto &tenant : tenants_) {
-        obs::Registry registry;
-        tenant->system->registerCounters(registry);
-        mergeCounters(system, registry.snapshot());
-
-        dyn.merge(tenant->stream.dynSoFar());
-    }
-    counters.insert(counters.end(), system.begin(), system.end());
-    dyn.appendCounters(counters);
+    for (auto &[name, value] : spaces)
+        appendCounter(counters, std::move(name), value);
 
     // Scheduler/IPI telemetry — only on a genuinely multi-core or
     // multi-tenant shape, so the 1x1 list stays bit-identical to the
@@ -322,17 +317,16 @@ MultiCoreSimulator::collectAggregateCounters() const
     if (cores_.size() > 1 || tenants_.size() > 1) {
         for (std::size_t c = 0; c < cores_.size(); ++c) {
             const CoreStats &s = cores_[c].stats;
-            const auto name = [c](const char *leaf) {
-                return strprintf("mc.core%zu.%s", c, leaf);
+            const auto counter = [&counters, c](const char *leaf,
+                                                std::uint64_t value) {
+                appendCounter(counters, strprintf("mc.core%zu.%s", c, leaf),
+                              value);
             };
-            counters.emplace_back(name("switches"), s.switches);
-            counters.emplace_back(name("ipisReceived"), s.ipisReceived);
-            counters.emplace_back(name("ipiInterruptCycles"),
-                                  s.ipiInterruptCycles);
-            counters.emplace_back(name("tlbShootdownDropped"),
-                                  s.tlbShootdownDropped);
-            counters.emplace_back(name("pwcShootdownDropped"),
-                                  s.pwcShootdownDropped);
+            counter("switches", s.switches);
+            counter("ipisReceived", s.ipisReceived);
+            counter("ipiInterruptCycles", s.ipiInterruptCycles);
+            counter("tlbShootdownDropped", s.tlbShootdownDropped);
+            counter("pwcShootdownDropped", s.pwcShootdownDropped);
         }
         TenantStats total;
         std::uint64_t switches = 0;
@@ -345,23 +339,17 @@ MultiCoreSimulator::collectAggregateCounters() const
             total.ipiRemoteCycles += tenant->mcStats.ipiRemoteCycles;
             total.switchInCycles += tenant->mcStats.switchInCycles;
         }
-        counters.emplace_back("mc.contextSwitches", switches);
-        counters.emplace_back("mc.shootdowns", total.shootdowns);
-        counters.emplace_back("mc.ipisSent", total.ipisSent);
-        counters.emplace_back("mc.ipiSendWaitCycles",
-                              total.ipiSendWaitCycles);
-        counters.emplace_back("mc.ipiRemoteCycles",
-                              total.ipiRemoteCycles);
-        counters.emplace_back("mc.switchInCycles", total.switchInCycles);
-        counters.emplace_back("mc.slots", slots_);
+        appendCounter(counters, "mc.contextSwitches", switches);
+        appendTenantMcCounters(counters, total);
+        appendCounter(counters, "mc.slots", slots_);
     }
     return counters;
 }
 
-std::vector<std::pair<std::string, std::uint64_t>>
+Counters
 MultiCoreSimulator::collectGauges() const
 {
-    std::vector<std::pair<std::string, std::uint64_t>> gauges;
+    Counters gauges;
     const auto permille = [](std::uint64_t part,
                              std::uint64_t whole) -> std::uint64_t {
         return whole == 0 ? 0 : 1000 * part / whole;
@@ -407,32 +395,14 @@ MultiCoreSimulator::finalizeTenant(unsigned tenant)
         tn.stream.addEngineStats(*machine);
     RunStats &stats = tn.stream.stats();
 
-    // Per-tenant counters: this tenant's translation machinery (summed
-    // over its machines), its System, its dyn activity, and its IPI
+    // Per-tenant counters: this tenant's address space and its IPI
     // attribution. Core-shared cache/TLB counters are deliberately
     // absent — they belong to cores, not tenants (the aggregate
     // carries them).
-    std::vector<std::pair<std::string, std::uint64_t>> counters;
-    for (const auto &machine : tn.machines) {
-        obs::Registry registry;
-        machine->registerTranslationCounters(registry);
-        mergeCounters(counters, registry.snapshot());
-    }
-    {
-        obs::Registry registry;
-        tn.system->registerCounters(registry);
-        const auto system = registry.snapshot();
-        counters.insert(counters.end(), system.begin(), system.end());
-    }
-    stats.dyn.appendCounters(counters);
-    counters.emplace_back("mc.shootdowns", tn.mcStats.shootdowns);
-    counters.emplace_back("mc.ipisSent", tn.mcStats.ipisSent);
-    counters.emplace_back("mc.ipiSendWaitCycles",
-                          tn.mcStats.ipiSendWaitCycles);
-    counters.emplace_back("mc.ipiRemoteCycles",
-                          tn.mcStats.ipiRemoteCycles);
-    counters.emplace_back("mc.switchInCycles",
-                          tn.mcStats.switchInCycles);
+    Counters counters;
+    appendAddressSpaceCounters(counters, tn.machines, *tn.system,
+                               stats.dyn);
+    appendTenantMcCounters(counters, tn.mcStats);
     stats.counters = std::move(counters);
 }
 

@@ -226,14 +226,17 @@ class MultiCoreSimulator
      *  its machines, per-tenant counters). */
     void finalizeTenant(unsigned tenant);
 
-    /** The aggregate counter list, serial-ordered: per-core sums,
-     *  shared LLC once, translation sums, system + dyn sums; mc.*
-     *  extras appended only on a genuinely multi-core/multi-tenant
-     *  shape (so 1x1 stays bit-identical to the serial list). */
-    std::vector<std::pair<std::string, std::uint64_t>>
-    collectAggregateCounters() const;
-    std::vector<std::pair<std::string, std::uint64_t>>
-    collectGauges() const;
+    /**
+     * The aggregate counter list, serial-ordered: the core-shared
+     * mem/TLB counters summed over cores (the shared LLC counted
+     * once), then mergeCounters over every tenant's
+     * appendAddressSpaceCounters list (its counter list without the
+     * mc.* tail), then the mc.core<i>.* and mc.* telemetry, appended
+     * only on a genuinely multi-core/multi-tenant shape. On 1x1 it is
+     * therefore the serial Simulator's list, built by the same calls.
+     */
+    Counters collectAggregateCounters() const;
+    Counters collectGauges() const;
     Cycles maxCoreNow() const;
 
     McConfig mcConfig_;

@@ -95,11 +95,9 @@ histogramDiff(const Histogram &cur, const Histogram &prev)
 }
 
 void
-Timeline::sample(
-    std::uint64_t measuredAccesses, Cycles now,
-    const std::vector<std::pair<std::string, std::uint64_t>> &counters,
-    const Histogram &walkHist, const Histogram &dataHist,
-    const std::vector<std::pair<std::string, std::uint64_t>> &gauges)
+Timeline::sample(std::uint64_t measuredAccesses, Cycles now,
+                 const Counters &counters, const Histogram &walkHist,
+                 const Histogram &dataHist, const Counters &gauges)
 {
     if (!enabled_)
         return;
@@ -113,7 +111,7 @@ Timeline::sample(
             gaugeNames_.push_back(gauge.first);
         prevCounters_.assign(counters.size(), 0);
     } else {
-        // One Timeline observes one run: the registered name lists
+        // One Timeline observes one run: the counter and gauge names
         // cannot change between boundaries of the same machine.
         panic_if(counters.size() != counterNames_.size() ||
                      gauges.size() != gaugeNames_.size(),

@@ -8,7 +8,7 @@
  * epochs (every N accesses — simulated-progress boundaries, never wall
  * clock, so sampling is bit-reproducible) and records per epoch:
  *
- *  - the per-epoch *delta* of every registered counter, computed by
+ *  - the per-epoch *delta* of every component counter, computed by
  *    wrapping u64 subtraction against the previous boundary's snapshot
  *    so the deltas of all epochs sum to the lifetime value exactly —
  *    even for non-monotonic counters (buddy.freeFrames) and constants
@@ -17,7 +17,7 @@
  *    cumulative run histograms at consecutive boundaries (the
  *    histogram is bucket-wise additive, so cur - prev is exactly the
  *    interval's own distribution);
- *  - instantaneous occupancy gauges the counter registry cannot
+ *  - instantaneous occupancy gauges the lifetime counters cannot
  *    express: TLB/PWC valid-entry fractions, live slab PT nodes, buddy
  *    largest-free-order and fragmentation score, ASAP region
  *    contiguity, MSHR occupancy high-water.
@@ -42,9 +42,9 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "common/stats.hh"
 #include "common/status.hh"
 #include "common/types.hh"
 #include "obs/histogram.hh"
@@ -113,11 +113,8 @@ class Timeline
      */
     void
     sample(std::uint64_t measuredAccesses, Cycles now,
-           const std::vector<std::pair<std::string, std::uint64_t>>
-               &counters,
-           const Histogram &walkHist, const Histogram &dataHist,
-           const std::vector<std::pair<std::string, std::uint64_t>>
-               &gauges);
+           const Counters &counters, const Histogram &walkHist,
+           const Histogram &dataHist, const Counters &gauges);
 
     std::size_t epochCount() const { return epochs_.size(); }
     const TimelineEpoch &

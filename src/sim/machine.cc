@@ -87,20 +87,12 @@ packWalkLevels(const WalkResult &walk)
 } // namespace
 
 void
-Machine::registerCounters(obs::Registry &registry) const
+Machine::appendMemTlbCounters(Counters &counters, const MemoryHierarchy &mem,
+                              const TlbHierarchy &tlb)
 {
-    registerMemTlbCounters(registry, *mem_, *tlb_);
-    registerTranslationCounters(registry);
-}
-
-void
-Machine::registerMemTlbCounters(obs::Registry &registry,
-                                const MemoryHierarchy &mem,
-                                const TlbHierarchy &tlb)
-{
-    const auto counter = [&registry](const char *name,
+    const auto counter = [&counters](const char *name,
                                      std::uint64_t value) {
-        registry.add(name, [value] { return value; });
+        appendCounter(counters, name, value);
     };
     counter("l1d.hits", mem.l1d().hits());
     counter("l1d.misses", mem.l1d().misses());
@@ -120,11 +112,11 @@ Machine::registerMemTlbCounters(obs::Registry &registry,
 }
 
 void
-Machine::registerTranslationCounters(obs::Registry &registry) const
+Machine::appendTranslationCounters(Counters &counters) const
 {
-    const auto counter = [&registry](const char *name,
+    const auto counter = [&counters](const char *name,
                                      std::uint64_t value) {
-        registry.add(name, [value] { return value; });
+        appendCounter(counters, name, value);
     };
     counter("pwc.app.hits", appPwc_.hits());
     counter("pwc.app.lookups", appPwc_.lookups());

@@ -16,11 +16,11 @@
 #include <memory>
 #include <optional>
 
+#include "common/stats.hh"
 #include "common/types.hh"
 #include "core/asap_engine.hh"
 #include "core/range_registers.hh"
 #include "mem/hierarchy.hh"
-#include "obs/registry.hh"
 #include "obs/trace_sink.hh"
 #include "sim/system.hh"
 #include "tlb/tlb.hh"
@@ -192,26 +192,19 @@ class Machine
 
     obs::TraceSink *traceSink() const { return sink_; }
 
-    /** Register this machine's component counters (caches, TLBs, PWCs,
-     *  MSHRs, walkers, ASAP engines) under stable dotted names. */
-    void registerCounters(obs::Registry &registry) const;
-
     /**
-     * The core-scoped half of registerCounters(): cache, MSHR and TLB
-     * counters, which in the multi-core model belong to a core's
-     * shared structures rather than to any one tenant's machine.
-     * Static so the mc subsystem can register a core's structures
-     * without a Machine in hand; registerCounters() is exactly this
-     * followed by registerTranslationCounters(), preserving the
-     * single-core name order.
+     * Append the core-scoped counters: cache, MSHR and TLB, which in
+     * the multi-core model belong to a core's shared structures rather
+     * than to any one tenant's machine. Static so the mc subsystem can
+     * list a core's structures without a Machine in hand.
      */
-    static void registerMemTlbCounters(obs::Registry &registry,
-                                       const MemoryHierarchy &mem,
-                                       const TlbHierarchy &tlb);
+    static void appendMemTlbCounters(Counters &counters,
+                                     const MemoryHierarchy &mem,
+                                     const TlbHierarchy &tlb);
 
-    /** The tenant-scoped half: PWCs, walker, range registers and ASAP
-     *  engines — the state private to this Machine. */
-    void registerTranslationCounters(obs::Registry &registry) const;
+    /** Append the tenant-scoped counters: PWCs, walker, range registers
+     *  and ASAP engines — the state private to this Machine. */
+    void appendTranslationCounters(Counters &counters) const;
 
     const MachineConfig &config() const { return config_; }
 

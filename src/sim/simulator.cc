@@ -38,8 +38,6 @@ class MachineShootdownTarget final : public ShootdownTarget
     Machine &machine_;
 };
 
-using Counters = std::vector<std::pair<std::string, std::uint64_t>>;
-
 /** RunStats::merge, per schema field type. */
 struct MergeField
 {
@@ -130,23 +128,6 @@ struct DiffField
 } // namespace
 
 void
-mergeCounters(Counters &into, const Counters &from)
-{
-    if (into.empty()) {
-        into = from;
-        return;
-    }
-    panic_if(into.size() != from.size(),
-             "counter lists differ (%zu vs %zu)", into.size(), from.size());
-    for (std::size_t i = 0; i < into.size(); ++i) {
-        panic_if(into[i].first != from[i].first,
-                 "counter %zu name mismatch (%s vs %s)", i,
-                 into[i].first.c_str(), from[i].first.c_str());
-        into[i].second += from[i].second;
-    }
-}
-
-void
 RunStats::merge(const RunStats &other)
 {
     // Parallel replay rejects dynamic traces, so there dyn is all zero
@@ -187,22 +168,21 @@ Simulator::run(const RunConfig &config)
     // the end-of-run snapshot below: the identical name list and the
     // identical value sources, so the timeline's per-epoch deltas sum
     // to stats.counters exactly (tests/test_timeline.cc pins this).
-    // Registry readers capture their value at registration time, so a
-    // fresh Registry is built per snapshot — cold path only.
+    // Cold path only.
     const auto collectCounters = [&]() {
-        obs::Registry registry;
-        machine_.registerCounters(registry);
-        system_.registerCounters(registry);
-        auto counters = registry.snapshot();
-        stream.dynSoFar().appendCounters(counters);
+        Counters counters;
+        Machine::appendMemTlbCounters(counters, machine_.mem(),
+                                      machine_.tlb());
+        appendAddressSpaceCounters(counters, std::array{&machine_},
+                                   system_, stream.dynSoFar());
         return counters;
     };
 
-    // Instantaneous occupancy/fragmentation gauges — state the counter
-    // registry cannot express as lifetime sums. Sampled only at epoch
-    // boundaries (and once at end of run), never on the hot path.
+    // Instantaneous occupancy/fragmentation gauges — state the lifetime
+    // counters cannot express. Sampled only at epoch boundaries (and
+    // once at end of run), never on the hot path.
     const auto collectGauges = [&]() {
-        std::vector<std::pair<std::string, std::uint64_t>> gauges;
+        Counters gauges;
         const auto gauge = [&gauges](const char *name,
                                      std::uint64_t value) {
             gauges.emplace_back(name, value);
@@ -290,9 +270,9 @@ Simulator::run(const RunConfig &config)
     stream.finish(now);
     stream.addEngineStats(machine_);
 
-    // Snapshot every registered component counter into the run's
-    // result — the sweep layer emits whatever appears here, so new
-    // counters need no per-experiment column wiring.
+    // Snapshot every component counter into the run's result — the
+    // sweep layer emits whatever appears here, so new counters need no
+    // per-experiment column wiring.
     stats.counters = collectCounters();
 
     // The final epoch boundary: sampled *after* the end-of-stream OS

@@ -124,10 +124,10 @@ struct RunStats
      *  dyn/os_events.hh). */
     OsDynStats dyn;
 
-    /** End-of-run snapshot of every registered component counter
-     *  (obs::Registry; machine + system + dyn.*), in registration
-     *  order. Deterministic — safe for CSV columns. */
-    std::vector<std::pair<std::string, std::uint64_t>> counters;
+    /** End-of-run component counters: core-shared mem/TLB, then
+     *  appendAddressSpaceCounters. Deterministic — safe for CSV
+     *  columns. */
+    Counters counters;
 
     /** Wall-clock self-profile (nondeterministic; JSON artifacts
      *  only, never compared; outside the schema). */
@@ -173,8 +173,8 @@ struct RunStats
      * src/sim/parallel_replay.hh). Every aggregate here is a sum of
      * per-access contributions, so merging is exact and associative:
      * counts/cycles add, SampleStat/LevelDistribution/obs::Histogram
-     * merge bucket- and moment-wise, and the registered counter
-     * snapshots — identical name lists for identically configured
+     * merge bucket- and moment-wise, and the counter lists —
+     * identical name lists for identically configured
      * machines — add positionally. The wall-clock self-profile is NOT
      * merged (per-shard wall times overlap); callers time the whole
      * parallel run themselves.
@@ -215,11 +215,30 @@ struct RunStats
     }
 };
 
-/** Add counter snapshot @p from into @p into positionally (a copy
- *  when @p into is empty); panics when the name lists differ. */
-void mergeCounters(
-    std::vector<std::pair<std::string, std::uint64_t>> &into,
-    const std::vector<std::pair<std::string, std::uint64_t>> &from);
+/**
+ * Append one address space's counters to @p counters: the translation
+ * counters summed over @p machines (pointers to every Machine that ran
+ * it: one for a serial run, one per core for an mc tenant), then
+ * @p system's, then @p dyn's. The serial list is the core-shared
+ * mem/TLB counters followed by this; an mc tenant's is this followed
+ * by its mc.* attribution; the mc aggregate sums it over tenants.
+ */
+template <typename MachinePtrs>
+void
+appendAddressSpaceCounters(Counters &counters, const MachinePtrs &machines,
+                           const System &system, const OsDynStats &dyn)
+{
+    Counters translation;
+    for (const auto &machine : machines) {
+        Counters one;
+        machine->appendTranslationCounters(one);
+        mergeCounters(translation, one);
+    }
+    for (auto &[name, value] : translation)
+        appendCounter(counters, std::move(name), value);
+    system.appendCounters(counters);
+    dyn.appendCounters(counters);
+}
 
 /** The first schema field in which @p a and @p b differ ("" when none),
  *  as a path: "tlbMisses", "levelDist[3]", "hostAsap.issued",

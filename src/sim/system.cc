@@ -303,11 +303,11 @@ System::hostDescriptors() const
 }
 
 void
-System::registerCounters(obs::Registry &registry) const
+System::appendCounters(Counters &counters) const
 {
-    const auto counter = [&registry](const char *name,
+    const auto counter = [&counters](const char *name,
                                      std::uint64_t value) {
-        registry.add(name, [value] { return value; });
+        appendCounter(counters, name, value);
     };
     counter("buddy.totalFrames", machineFrames_->totalFrames());
     counter("buddy.freeFrames", machineFrames_->freeFrames());

@@ -22,9 +22,9 @@
 #include <string>
 #include <vector>
 
+#include "common/stats.hh"
 #include "common/types.hh"
 #include "core/range_registers.hh"
-#include "obs/registry.hh"
 #include "os/address_space.hh"
 #include "os/buddy_allocator.hh"
 #include "os/pt_allocators.hh"
@@ -177,9 +177,9 @@ class System : public HostBacking
     std::uint64_t machineMemBytes() const
     { return config_.machineMemBytes; }
 
-    /** Register the OS-side counters (buddy allocator, address spaces,
+    /** Append the OS-side counters (buddy allocator, address spaces,
      *  ASAP PT allocators) under stable dotted names. */
-    void registerCounters(obs::Registry &registry) const;
+    void appendCounters(Counters &counters) const;
 
     /**
      * Attach (or detach, with nullptr) a recorder observing mmap/touch.

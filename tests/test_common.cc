@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for src/common: address math, RNG/Zipfian, statistics.
+ * Unit tests for src/common: address math, RNG/Zipfian, statistics,
+ * counter lists.
  */
 
 #include <gtest/gtest.h>
@@ -240,29 +241,12 @@ TEST(SampleStat, Reset)
     EXPECT_EQ(stat.sum(), 0u);
 }
 
-TEST(Histogram, BucketsAndOverflow)
+TEST(Counters, DuplicateNamePanics)
 {
-    Histogram hist(10, 5);
-    hist.sample(0);
-    hist.sample(9);
-    hist.sample(10);
-    hist.sample(49);
-    hist.sample(1000);   // overflow bucket
-    EXPECT_EQ(hist.count(), 5u);
-    EXPECT_EQ(hist.bucketCount(0), 2u);
-    EXPECT_EQ(hist.bucketCount(1), 1u);
-    EXPECT_EQ(hist.bucketCount(4), 1u);
-    EXPECT_EQ(hist.bucketCount(5), 1u);
-}
-
-TEST(Histogram, Quantile)
-{
-    Histogram hist(10, 10);
-    for (int i = 0; i < 100; ++i)
-        hist.sample(static_cast<std::uint64_t>(i));
-    EXPECT_LE(hist.quantile(0.5), 60u);
-    EXPECT_GE(hist.quantile(0.5), 40u);
-    EXPECT_GE(hist.quantile(0.99), 90u);
+    Counters counters;
+    appendCounter(counters, "tlb.lookups", 1);
+    EXPECT_DEATH(appendCounter(counters, "tlb.lookups", 2),
+                 "duplicate counter");
 }
 
 TEST(LevelDistribution, FractionsSumToOne)

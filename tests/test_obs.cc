@@ -2,7 +2,7 @@
  * @file
  * Unit tests for src/obs: histogram bucket math and percentiles,
  * merge associativity, trace-sink ring semantics and Chrome-JSON
- * export, counter-registry uniqueness — and the layer's core contract,
+ * export — and the layer's core contract,
  * golden equivalence: attaching a trace sink (disabled or enabled)
  * must not perturb the simulated model by a single cycle.
  */
@@ -15,7 +15,6 @@
 #include "exp/json.hh"
 #include "golden_scenarios.hh"
 #include "obs/histogram.hh"
-#include "obs/registry.hh"
 #include "obs/trace_sink.hh"
 #include "common/rng.hh"
 
@@ -204,28 +203,6 @@ TEST(TraceSink, ChromeJsonParsesBack)
     ASSERT_NE(other, nullptr);
     EXPECT_EQ(other->find("emitted")->asNumber(), 9.0);
     EXPECT_EQ(other->find("dropped")->asNumber(), 0.0);
-}
-
-TEST(Registry, SnapshotKeepsRegistrationOrder)
-{
-    obs::Registry registry;
-    registry.add("b.second", [] { return std::uint64_t{2}; });
-    registry.add("a.first", [] { return std::uint64_t{1}; });
-    const auto snapshot = registry.snapshot();
-    ASSERT_EQ(snapshot.size(), 2u);
-    EXPECT_EQ(snapshot[0].first, "b.second");
-    EXPECT_EQ(snapshot[0].second, 2u);
-    EXPECT_EQ(snapshot[1].first, "a.first");
-    EXPECT_EQ(snapshot[1].second, 1u);
-}
-
-TEST(Registry, DuplicateNamePanics)
-{
-    obs::Registry registry;
-    registry.add("tlb.lookups", [] { return std::uint64_t{1}; });
-    EXPECT_DEATH(registry.add("tlb.lookups",
-                              [] { return std::uint64_t{2}; }),
-                 "duplicate counter");
 }
 
 namespace

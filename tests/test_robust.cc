@@ -530,7 +530,7 @@ TEST(Journal, CellResultRoundTrips)
     EXPECT_EQ(bigBack.stats.totalCycles, UINT64_MAX - 7);
     EXPECT_EQ(bigBack.extra.at("vmas"), 42.0);
 
-    // A full RunStats (dyn, histograms, engine counters, registry
+    // A full RunStats (dyn, histograms, engine counters, component
     // counters) survives the journal bit for bit.
     exp::CellResult churn;
     churn.row = "r";
@@ -580,6 +580,22 @@ TEST(Journal, CellResultRoundTrips)
             exp::CellResult rejected;
             EXPECT_FALSE(exp::cellResultFromJson(*doc, rejected));
         }
+    }
+
+    // "attempts" is a JSON number: anything but an integer that fits
+    // an unsigned rejects the cell, checked before any cast.
+    const std::string attempts = "\"attempts\":1,";
+    const std::size_t attemptsAt = text.find(attempts);
+    ASSERT_NE(attemptsAt, std::string::npos);
+    for (const char *bad : {"-1", "1e30", "4294967296", "1.5"}) {
+        SCOPED_TRACE(std::string("attempts -> ") + bad);
+        std::string mutated = text;
+        mutated.replace(attemptsAt, attempts.size(),
+                        "\"attempts\":" + std::string(bad) + ",");
+        const auto doc = exp::Json::parse(mutated);
+        ASSERT_TRUE(doc.has_value());
+        exp::CellResult rejected;
+        EXPECT_FALSE(exp::cellResultFromJson(*doc, rejected));
     }
 
     exp::Json junk = exp::Json::object();
@@ -671,6 +687,34 @@ TEST(Journal, MismatchedJournalIsIgnored)
     {
         ScopedEnv resume("ASAP_RESUME", nullptr);
         exp::SweepRunner(1).run(sweep);
+    }
+
+    // A damaged header cell count or record cell index — negative,
+    // huge, fractional — is rejected before any cast: the journal
+    // restores nothing and the cell is recomputed.
+    const std::string journalPath =
+        exp::CellJournal::pathFor("robust_mismatch");
+    const std::string journal = readAll(journalPath);
+    const std::pair<std::string, std::string> damage[] = {
+        {"\"cells\":1}", "\"cells\":-1}"},
+        {"\"cells\":1}", "\"cells\":1e30}"},
+        {"\"cells\":1}", "\"cells\":1.5}"},
+        {"\"cell\":0,", "\"cell\":-1,"},
+        {"\"cell\":0,", "\"cell\":1e30,"},
+        {"\"cell\":0,", "\"cell\":0.5,"},
+    };
+    for (const auto &[from, to] : damage) {
+        SCOPED_TRACE(from + " -> " + to);
+        const std::size_t at = journal.find(from);
+        ASSERT_NE(at, std::string::npos);
+        writeAll(journalPath,
+                 std::string(journal).replace(at, from.size(), to));
+        ScopedEnv resume("ASAP_RESUME", "1");
+        const exp::ResultSet out = exp::SweepRunner(1).run(sweep);
+        for (const exp::CellResult &cell : out.cells()) {
+            EXPECT_FALSE(cell.resumed);
+            EXPECT_TRUE(cell.status.ok());
+        }
     }
 
     // A sweep with the same name but a different shape must not adopt
