@@ -493,7 +493,10 @@ MultiCoreSimulator::run(const RunConfig &config)
         result.aggregate.merge(tenant);
     result.aggregate.counters = collectAggregateCounters();
 
+    // Warmup and measure interleave across tenants, so measureSec
+    // spans both; the caller owns envSetupSec (it builds the tenants).
     result.aggregate.profile.measureSec = obs::wallSeconds() - runStart;
+    result.aggregate.profile.peakRssBytes = obs::peakRssBytes();
     result.aggregate.profile.accessesPerSec =
         result.aggregate.profile.measureSec > 0.0
             ? static_cast<double>(measureTotal) /

@@ -1,6 +1,7 @@
 #include "os/address_space.hh"
 
 #include <algorithm>
+#include <new>
 
 #include "common/logging.hh"
 
@@ -13,8 +14,12 @@ AddressSpace::AddressSpace(BuddyAllocator &frames,
     : frames_(frames), config_(config), pt_(ptAllocator, config.ptLevels),
       pinRng_(config.seed), nextMmap_(config.mmapBase)
 {
-    reverseMap_.assign(frames.totalFrames(), noReverse);
-    pinned_.assign(frames.totalFrames(), 0);
+    const std::size_t count = frames.totalFrames();
+    reverseMap_.reset(static_cast<std::uint64_t *>(
+        std::calloc(count, sizeof(std::uint64_t))));
+    pinned_.reset(static_cast<std::uint8_t *>(std::calloc(count, 1)));
+    if (!reverseMap_ || !pinned_)
+        throw std::bad_alloc();
 }
 
 void
@@ -88,7 +93,7 @@ AddressSpace::unmapRange(Vma &vma, VirtAddr start, VirtAddr end)
         if (t->leafLevel == 1) {
             const Pfn frame = t->pfn;
             pt_.unmap(va);
-            reverseMap_[frame] = noReverse;
+            reverseMap_[frame] = 0;
             pinned_[frame] = 0;
             frames_.freeFrame(frame);
             ++counts.dataPagesFreed;
@@ -151,30 +156,50 @@ AddressSpace::touch(VirtAddr va)
         return {false, *t};
 
     // Page fault: demand allocation (Section 3.7.1).
-    ++pageFaults_;
     if (config_.hugePages) {
+        ++pageFaults_;
         const VirtAddr base = alignDown(va, levelSpan(2));
         const Pfn block = frames_.allocBlock(levelBits);
         fatal_if(block == invalidPfn,
                  "out of physical memory (2MB page for %#lx)", va);
-        pt_.map(base, block, /*leafLevel=*/2);
         vma->touchedPages += entriesPerNode;
         touchedPages_ += entriesPerNode;
-    } else {
-        const Pfn frame = frames_.allocFrame();
-        fatal_if(frame == invalidPfn, "out of physical memory for %#lx",
-                 va);
-        pt_.map(va, frame, /*leafLevel=*/1);
-        reverseMap_[frame] = alignDown(va, pageSize);
-        if (config_.pinnedProb > 0.0 && pinRng_.chance(config_.pinnedProb))
-            pinned_[frame] = 1;
-        ++vma->touchedPages;
-        ++touchedPages_;
+        return {true, pt_.map(base, block, /*leafLevel=*/2)};
     }
+    const Pfn frame = frames_.allocFrame();
+    fatal_if(frame == invalidPfn, "out of physical memory for %#lx", va);
+    const Translation t = pt_.map(va, frame, /*leafLevel=*/1);
+    recordFault(*vma, va, frame);
+    return {true, t};
+}
 
-    auto t = pt_.lookup(va);
-    panic_if(!t, "mapping vanished for %#lx", va);
-    return {true, *t};
+AddressSpace::TouchResult
+AddressSpace::touchInLeaf(Vma &vma, PtNodeIndex leaf, VirtAddr va)
+{
+    const PtNode &node = pt_.nodeAt(leaf);
+    const Pte entry = node.entries[levelIndex(va, 1)];
+    if (entry.present()) {
+        Translation t;
+        t.pfn = entry.pfn();
+        t.pteAddr = PageTable::entryPhysAddr(node.pfn, va, 1);
+        return {false, t};
+    }
+    const Pfn frame = frames_.allocFrame();
+    fatal_if(frame == invalidPfn, "out of physical memory for %#lx", va);
+    const Translation t = pt_.mapInLeaf(leaf, va, frame);
+    recordFault(vma, va, frame);
+    return {true, t};
+}
+
+void
+AddressSpace::recordFault(Vma &vma, VirtAddr va, Pfn frame)
+{
+    ++pageFaults_;
+    reverseMap_[frame] = (va >> pageShift) + 1;
+    if (config_.pinnedProb > 0.0 && pinRng_.chance(config_.pinnedProb))
+        pinned_[frame] = 1;
+    ++vma.touchedPages;
+    ++touchedPages_;
 }
 
 std::optional<Translation>
@@ -211,15 +236,16 @@ AddressSpace::relocateFrame(Pfn pfn)
 {
     if (pinned_[pfn])
         return false;
-    const VirtAddr va = reverseMap_[pfn];
-    if (va == noReverse)
+    const std::uint64_t vpnPlus1 = reverseMap_[pfn];
+    if (vpnPlus1 == 0)
         return false;           // not a movable data page (e.g. PT node)
     const Pfn newFrame = frames_.allocFrame();
     if (newFrame == invalidPfn)
         return false;
-    pt_.map(va, newFrame, 1);   // overwrite the leaf with the new frame
-    reverseMap_[pfn] = noReverse;
-    reverseMap_[newFrame] = va;
+    // Overwrite the leaf with the new frame.
+    pt_.map((vpnPlus1 - 1) << pageShift, newFrame, 1);
+    reverseMap_[pfn] = 0;
+    reverseMap_[newFrame] = vpnPlus1;
     frames_.freeFrame(pfn);
     ++relocations_;
     return true;

@@ -19,6 +19,8 @@
 #define ASAP_OS_ADDRESS_SPACE_HH
 
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -112,6 +114,13 @@ class AddressSpace : public FrameRelocator
      */
     TouchResult touch(VirtAddr va);
 
+    /**
+     * touch() of a 4KB page of @p vma whose PL1 node @p leaf
+     * (PageTable::leafIndexOf) already exists: the same fault and its
+     * bookkeeping, without the VMA search and the table descent.
+     */
+    TouchResult touchInLeaf(Vma &vma, PtNodeIndex leaf, VirtAddr va);
+
     /** Functional translation without faulting. */
     std::optional<Translation> translate(VirtAddr va) const;
 
@@ -145,6 +154,14 @@ class AddressSpace : public FrameRelocator
     void notifyCreated(const Vma &vma);
     /** Unmap + free the mapped pages of [start, end) within @p vma. */
     UnmapCounts unmapRange(Vma &vma, VirtAddr start, VirtAddr end);
+    /** Bookkeeping of a 4KB demand fault that mapped @p va to @p frame:
+     *  counters, reverse map and the pinning draw. */
+    void recordFault(Vma &vma, VirtAddr va, Pfn frame);
+
+    struct FreeDeleter
+    {
+        void operator()(void *p) const { std::free(p); }
+    };
 
     BuddyAllocator &frames_;
     AddressSpaceConfig config_;
@@ -153,14 +170,15 @@ class AddressSpace : public FrameRelocator
     std::vector<VmaObserver *> observers_;
 
     /**
-     * data frame -> base VA of the page mapped there (movable pages).
-     * Dense array indexed by frame number: footprints run into millions
-     * of pages and a hash map would dominate the simulator's memory.
+     * data frame -> virtual page number + 1 of the page mapped there
+     * (movable pages); 0 means no reverse mapping. Dense arrays indexed
+     * by frame number: footprints run into millions of pages and a hash
+     * map would dominate the simulator's memory. Both are calloc'ed, so
+     * all-zero is the empty state and frames never touched cost neither
+     * a write nor resident memory.
      */
-    std::vector<VirtAddr> reverseMap_;
-    std::vector<std::uint8_t> pinned_;
-
-    static constexpr VirtAddr noReverse = ~VirtAddr{0};
+    std::unique_ptr<std::uint64_t[], FreeDeleter> reverseMap_;
+    std::unique_ptr<std::uint8_t[], FreeDeleter> pinned_;
 
     Rng pinRng_;
     VirtAddr nextMmap_;

@@ -14,7 +14,7 @@ BuddyAllocator::BuddyAllocator(std::uint64_t totalFrames, unsigned maxOrder)
     fatal_if(totalFrames == 0, "empty physical memory");
     fatal_if(maxOrder >= 40, "absurd max order %u", maxOrder);
     freeStacks_.resize(maxOrder_ + 1);
-    freeSets_.resize(maxOrder_ + 1);
+    freeBlocks_.assign(maxOrder_ + 1, 0);
     freeBitmap_.assign(totalFrames_, 0);
 
     // Cover [0, totalFrames) with maximal aligned blocks.
@@ -35,14 +35,16 @@ BuddyAllocator::BuddyAllocator(std::uint64_t totalFrames, unsigned maxOrder)
 void
 BuddyAllocator::pushFree(Pfn pfn, unsigned order)
 {
-    freeSets_[order].insert(pfn);
+    freeBitmap_[pfn] = headState(order);
+    ++freeBlocks_[order];
     freeStacks_[order].push_back(pfn);
 }
 
 void
 BuddyAllocator::eraseFree(Pfn pfn, unsigned order)
 {
-    freeSets_[order].erase(pfn);
+    freeBitmap_[pfn] = 1;
+    --freeBlocks_[order];
     // The stack entry becomes stale and is skipped when popped.
 }
 
@@ -50,12 +52,13 @@ Pfn
 BuddyAllocator::popFree(unsigned order)
 {
     auto &stack = freeStacks_[order];
-    auto &set = freeSets_[order];
     while (!stack.empty()) {
         const Pfn pfn = stack.back();
         stack.pop_back();
-        if (set.erase(pfn))
+        if (isFreeHead(pfn, order)) {
+            eraseFree(pfn, order);
             return pfn;
+        }
         // stale entry: removed by eraseFree/coalescing, skip
     }
     return invalidPfn;
@@ -68,7 +71,7 @@ BuddyAllocator::markFrames(Pfn start, std::uint64_t count, bool free)
              "frame range [%#lx,+%lu) out of bounds", start, count);
     const std::uint8_t value = free ? 1 : 0;
     for (std::uint64_t i = 0; i < count; ++i) {
-        panic_if(freeBitmap_[start + i] == value,
+        panic_if((freeBitmap_[start + i] != 0) == free,
                  "frame %#lx double-%s", start + i,
                  free ? "free" : "alloc");
         freeBitmap_[start + i] = value;
@@ -85,13 +88,13 @@ BuddyAllocator::allocBlock(unsigned order)
     panic_if(order > maxOrder_, "allocBlock order %u > max %u", order,
              maxOrder_);
     unsigned from = order;
-    while (from <= maxOrder_ && freeSets_[from].empty())
+    while (from <= maxOrder_ && freeBlocks_[from] == 0)
         ++from;
     if (from > maxOrder_)
         return invalidPfn;
 
     Pfn pfn = popFree(from);
-    panic_if(pfn == invalidPfn, "free set/stack inconsistency");
+    panic_if(pfn == invalidPfn, "free count/stack inconsistency");
     // Split down, returning upper halves to the free lists.
     while (from > order) {
         --from;
@@ -112,7 +115,7 @@ BuddyAllocator::freeBlock(Pfn pfn, unsigned order)
     while (order < maxOrder_) {
         const Pfn buddy = pfn ^ (std::uint64_t{1} << order);
         if (buddy + (std::uint64_t{1} << order) > totalFrames_ ||
-            !freeSets_[order].count(buddy)) {
+            !isFreeHead(buddy, order)) {
             break;
         }
         eraseFree(buddy, order);
@@ -146,7 +149,7 @@ BuddyAllocator::findFreeBlockContaining(Pfn pfn, Pfn &blockStart) const
 {
     for (unsigned order = 0; order <= maxOrder_; ++order) {
         const Pfn start = pfn & ~((std::uint64_t{1} << order) - 1);
-        if (freeSets_[order].count(start)) {
+        if (isFreeHead(start, order)) {
             blockStart = start;
             return static_cast<int>(order);
         }
@@ -223,7 +226,7 @@ bool
 BuddyAllocator::isFree(Pfn pfn) const
 {
     panic_if(pfn >= totalFrames_, "isFree out of range");
-    return freeBitmap_[pfn];
+    return freeBitmap_[pfn] != 0;
 }
 
 void
@@ -276,7 +279,7 @@ int
 BuddyAllocator::largestFreeOrder() const
 {
     for (int order = static_cast<int>(maxOrder_); order >= 0; --order) {
-        if (!freeSets_[static_cast<unsigned>(order)].empty())
+        if (freeBlocks_[static_cast<unsigned>(order)] != 0)
             return order;
     }
     return -1;
@@ -289,33 +292,39 @@ BuddyAllocator::fragmentationPermille(unsigned order) const
         return 0;
     std::uint64_t usable = 0;
     for (unsigned o = order; o <= maxOrder_; ++o)
-        usable += freeSets_[o].size() << o;
+        usable += freeBlocks_[o] << o;
     return 1000 - 1000 * usable / freeFrames_;
 }
 
 bool
 BuddyAllocator::checkConsistency() const
 {
-    std::uint64_t bitmapFree = 0;
-    for (const auto bit : freeBitmap_)
-        bitmapFree += bit;
-    if (bitmapFree != freeFrames_)
-        return false;
-
-    std::uint64_t setFree = 0;
-    for (unsigned order = 0; order <= maxOrder_; ++order) {
-        for (const Pfn pfn : freeSets_[order]) {
-            const std::uint64_t count = std::uint64_t{1} << order;
-            if (pfn + count > totalFrames_)
-                return false;
-            for (std::uint64_t i = 0; i < count; ++i) {
-                if (!freeBitmap_[pfn + i])
-                    return false;
-            }
-            setFree += count;
+    // Walk the frames in order: a free frame must be the head of an
+    // aligned, in-range block whose other frames are plain free.
+    std::vector<std::uint64_t> blocks(maxOrder_ + 1, 0);
+    std::uint64_t free = 0;
+    Pfn pfn = 0;
+    while (pfn < totalFrames_) {
+        const std::uint8_t state = freeBitmap_[pfn];
+        if (state == 0) {
+            ++pfn;
+            continue;
         }
+        if (state == 1 || state - 2u > maxOrder_)
+            return false;
+        const unsigned order = state - 2u;
+        const std::uint64_t count = std::uint64_t{1} << order;
+        if ((pfn & (count - 1)) != 0 || pfn + count > totalFrames_)
+            return false;
+        for (std::uint64_t i = 1; i < count; ++i) {
+            if (freeBitmap_[pfn + i] != 1)
+                return false;
+        }
+        ++blocks[order];
+        free += count;
+        pfn += count;
     }
-    return setFree == freeFrames_;
+    return free == freeFrames_ && blocks == freeBlocks_;
 }
 
 } // namespace asap

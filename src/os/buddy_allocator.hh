@@ -15,13 +15,22 @@
  *  - reserveRange(start, n): in-place extension of an existing region
  *    when the VMA grows (Section 3.7.2) — succeeds only if the frames
  *    adjacent to the region are free.
+ *
+ * Free lists are bitmap-encoded: one state byte per frame says whether
+ * the frame is allocated (0), free inside a block (1), or the head of a
+ * free block of order k (k + 2). Each order keeps a LIFO stack of block
+ * heads and a live count. Removing a block from its list (coalescing, a
+ * range reservation) only rewrites its head byte; the stack entry goes
+ * stale and popFree skips it, because a stack entry is live exactly
+ * when its frame's byte still says it heads a block of that order. So
+ * allocating, freeing and coalescing touch no hash table and make no
+ * heap allocation beyond amortized stack growth.
  */
 
 #ifndef ASAP_OS_BUDDY_ALLOCATOR_HH
 #define ASAP_OS_BUDDY_ALLOCATOR_HH
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "common/rng.hh"
@@ -108,14 +117,18 @@ class BuddyAllocator
      * usable for a contiguous 2^@p order-frame allocation (Linux's
      * "unusable free space index", scaled to integers). 0 = every
      * free frame sits in a block of at least that size; 1000 = no
-     * such block exists. Computed from the authoritative free sets —
-     * deterministic integer arithmetic, read-only. Default order 9 =
+     * such block exists. Computed from the per-order free-block
+     * counts — deterministic integer arithmetic, read-only. Default order 9 =
      * a 2MB region, the contiguity grain ASAP PT reservations and
      * huge pages both care about.
      */
     std::uint64_t fragmentationPermille(unsigned order = 9) const;
 
-    /** Internal consistency check (tests): bitmap matches free sets. */
+    /**
+     * Internal consistency check (tests): every free frame lies in
+     * exactly one aligned free block, the per-order counts match the
+     * block heads, and the free-frame total matches the bitmap.
+     */
     bool checkConsistency() const;
 
   private:
@@ -124,7 +137,13 @@ class BuddyAllocator
     /** Pop one valid block start from the order's stack; invalidPfn if
      *  empty. */
     Pfn popFree(unsigned order);
+    /** Mark [start, +count) allocated (0) or free non-head (1). */
     void markFrames(Pfn start, std::uint64_t count, bool free);
+    /** True iff @p pfn heads a free block of @p order. */
+    bool isFreeHead(Pfn pfn, unsigned order) const
+    { return freeBitmap_[pfn] == headState(order); }
+    static std::uint8_t headState(unsigned order)
+    { return static_cast<std::uint8_t>(order + 2); }
     /**
      * Find the free block containing @p pfn; returns its order or -1.
      * @p blockStart receives the block's first frame.
@@ -140,11 +159,13 @@ class BuddyAllocator
     unsigned maxOrder_;
     std::uint64_t freeFrames_ = 0;
 
-    /** LIFO stacks (may contain stale entries) + authoritative sets. */
+    /** Per-order LIFO stacks of block heads (may hold stale entries)
+     *  and the number of live blocks in each. */
     std::vector<std::vector<Pfn>> freeStacks_;
-    std::vector<std::unordered_set<Pfn>> freeSets_;
+    std::vector<std::uint64_t> freeBlocks_;
 
-    /** Per-frame free flag; authoritative for range queries. */
+    /** Per-frame state byte: 0 allocated, 1 free, order + 2 free block
+     *  head. Authoritative for membership and range queries. */
     std::vector<std::uint8_t> freeBitmap_;
 
     /** Blocks held live by churn() until releaseChurn() returns them. */

@@ -54,7 +54,7 @@ PageTable::createNode(unsigned level, VirtAddr va)
     return index;
 }
 
-void
+Translation
 PageTable::map(VirtAddr va, Pfn pfn, unsigned leafLevel)
 {
     panic_if(leafLevel < 1 || leafLevel > 3,
@@ -76,11 +76,31 @@ PageTable::map(VirtAddr va, Pfn pfn, unsigned leafLevel)
                  va, level);
         nodeIndex = node.children[slot];
     }
+    return setLeaf(nodeIndex, va, pfn, leafLevel);
+}
+
+Translation
+PageTable::mapInLeaf(PtNodeIndex leaf, VirtAddr va, Pfn pfn)
+{
+    panic_if(slab_[leaf].level != 1, "mapInLeaf into a level-%u node",
+             slab_[leaf].level);
+    return setLeaf(leaf, va, pfn, 1);
+}
+
+Translation
+PageTable::setLeaf(PtNodeIndex nodeIndex, VirtAddr va, Pfn pfn,
+                   unsigned leafLevel)
+{
     PtNode &leafNode = slab_[nodeIndex];
     Pte &leaf = leafNode.entries[levelIndex(va, leafLevel)];
     if (!leaf.present())
         ++leafNode.populated;
     leaf = Pte::make(pfn, /*huge=*/leafLevel > 1);
+    Translation t;
+    t.pfn = leaf.pfn();
+    t.leafLevel = leafLevel;
+    t.pteAddr = entryPhysAddr(leafNode.pfn, va, leafLevel);
+    return t;
 }
 
 void
@@ -177,16 +197,23 @@ PageTable::lookup(VirtAddr va) const
 const PtNode *
 PageTable::leafNodeOf(VirtAddr va) const
 {
+    const PtNodeIndex index = leafIndexOf(va);
+    return index == invalidPtNodeIndex ? nullptr : &slab_[index];
+}
+
+PtNodeIndex
+PageTable::leafIndexOf(VirtAddr va) const
+{
     PtNodeIndex nodeIndex = rootIndex_;
     for (unsigned level = levels_; level > 1; --level) {
         const PtNode &node = slab_[nodeIndex];
         const unsigned slot = levelIndex(va, level);
         const Pte entry = node.entries[slot];
         if (!entry.present() || entry.isLeaf(level))
-            return nullptr;
+            return invalidPtNodeIndex;
         nodeIndex = node.children[slot];
     }
-    return &slab_[nodeIndex];
+    return nodeIndex;
 }
 
 Pte

@@ -121,9 +121,17 @@ class PageTable
      * Install the mapping va -> pfn with a leaf at @p leafLevel
      * (1 = 4KB page, 2 = 2MB page, 3 = 1GB page), creating intermediate
      * nodes on demand. Mirrors the OS page-fault handler populating the
-     * table lazily (paper Section 3.7.1).
+     * table lazily (paper Section 3.7.1). @return the installed
+     * translation (what lookup(va) now returns).
      */
-    void map(VirtAddr va, Pfn pfn, unsigned leafLevel = 1);
+    Translation map(VirtAddr va, Pfn pfn, unsigned leafLevel = 1);
+
+    /**
+     * map() of a 4KB page whose PL1 node is already known: installs
+     * va -> pfn in node @p leaf (from leafIndexOf(va)) without a
+     * descent. Used to prefault the pages of one 2MB span in a row.
+     */
+    Translation mapInLeaf(PtNodeIndex leaf, VirtAddr va, Pfn pfn);
 
     /** Remove a mapping; intermediate nodes are retained (as in Linux). */
     void unmap(VirtAddr va);
@@ -174,6 +182,9 @@ class PageTable
      */
     const PtNode *leafNodeOf(VirtAddr va) const;
 
+    /** Slab index of leafNodeOf(va); invalidPtNodeIndex when absent. */
+    PtNodeIndex leafIndexOf(VirtAddr va) const;
+
     // ------------------------------------------------------------------
     // Frame-keyed interface (off the hot path: tests, OS bookkeeping)
     // ------------------------------------------------------------------
@@ -219,6 +230,9 @@ class PageTable
 
   private:
     PtNodeIndex createNode(unsigned level, VirtAddr va);
+    /** Write the leaf entry for @p va into node @p nodeIndex. */
+    Translation setLeaf(PtNodeIndex nodeIndex, VirtAddr va, Pfn pfn,
+                        unsigned leafLevel);
     std::uint64_t pruneNode(PtNodeIndex nodeIndex, VirtAddr nodeBase,
                             VirtAddr start, VirtAddr end);
     void releaseNode(PtNodeIndex index);

@@ -1,5 +1,7 @@
 #include "sim/system.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "core/descriptor_builder.hh"
 
@@ -243,6 +245,36 @@ System::touch(VirtAddr va)
     return result;
 }
 
+void
+System::touchRange(VirtAddr start, std::uint64_t pages)
+{
+    const VirtAddr end = start + pages * pageSize;
+    VirtAddr va = start;
+    while (va < end) {
+        // Full path for the span's first page: it may create the
+        // span's PT nodes and back them (and the data page) in the host.
+        touch(va);
+        const PtNodeIndex leaf = appPt().leafIndexOf(va);
+        Vma *vma = appSpace_->vmas().find(va);
+        const VirtAddr stop =
+            std::min({end, alignDown(va, levelSpan(2)) + levelSpan(2),
+                      vma->end});
+        va += pageSize;
+        if (leaf == invalidPtNodeIndex)
+            continue;           // huge leaf: nothing to fill in place
+        // The rest of the span shares that PL1 node, whose whole path
+        // is now backed: only each data page needs host backing.
+        for (; va < stop; va += pageSize) {
+            if (recorder_)
+                recorder_->onTouch(va);
+            const auto result = appSpace_->touchInLeaf(*vma, leaf, va);
+            if (config_.virtualized)
+                ensureBacked(result.translation.physAddrOf(
+                    alignDown(va, pageSize)));
+        }
+    }
+}
+
 AddressSpace &
 System::hostSpace()
 {
@@ -261,8 +293,7 @@ void
 System::ensureBacked(PhysAddr gpa)
 {
     panic_if(!hostSpace_, "ensureBacked on a native system");
-    if (!hostSpace_->translate(gpa))
-        hostSpace_->touch(gpa);
+    hostSpace_->touch(gpa);
 }
 
 PhysAddr

@@ -129,10 +129,24 @@ class System : public HostBacking
 
     /**
      * Demand-fault @p va (and, under virtualization, back the data page
-     * and its guest PT nodes in host memory). Used both for prefaulting
-     * and for servicing faults during simulation.
+     * and its guest PT nodes in host memory). Used for servicing faults
+     * during simulation and for single prefault touches; touchRange
+     * prefaults a run of pages.
      */
     AddressSpace::TouchResult touch(VirtAddr va);
+
+    /**
+     * touch() each of the @p pages pages from @p start, in order: the
+     * prefault of a dataset region. Same effect as the per-page loop —
+     * the same frames, PT nodes, host backing, pinning draws and
+     * recorder calls — at about one table descent per 2MB span. The
+     * first page of each span takes touch(), which may create the
+     * span's PT nodes and back them in the host; every later page of
+     * the span fills its entry straight into the span's PL1 node and
+     * (under virtualization) backs only its data page, as its PT path
+     * is already backed. A page outside any VMA panics as touch() does.
+     */
+    void touchRange(VirtAddr start, std::uint64_t pages);
 
     /** The application's (guest's) address space. */
     AddressSpace &appSpace() { return *appSpace_; }

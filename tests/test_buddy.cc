@@ -322,3 +322,82 @@ TEST_P(BuddyReserveProperty, ReservedAndAllocatedDisjoint)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BuddyReserveProperty,
                          ::testing::Values(11, 22, 33, 44));
+
+/**
+ * Allocation order is part of the model: the Goldens, recorded traces
+ * and the VMA-layout reproductions all depend on which frame each call
+ * returns. A seeded mix of every mutating entry point folds each result
+ * into one hash pinned as a literal, so any change to the free-list
+ * discipline (LIFO order, split order, coalescing) fails here directly.
+ */
+TEST(Buddy, AllocationOrderIsPinned)
+{
+    BuddyAllocator buddy(1 << 13, 10);
+    Rng rng(2024);
+    std::uint64_t hash = 0;
+    const auto fold = [&hash](std::uint64_t value) {
+        hash = mix64(hash ^ value);
+    };
+    std::vector<std::pair<Pfn, unsigned>> blocks;
+    std::vector<std::pair<Pfn, std::uint64_t>> runs;
+    for (int op = 0; op < 4000; ++op) {
+        switch (rng.below(8)) {
+          case 0:
+          case 1: {
+            const auto order = static_cast<unsigned>(rng.below(10));
+            const Pfn pfn = buddy.allocBlock(order);
+            fold(pfn);
+            if (pfn != invalidPfn)
+                blocks.emplace_back(pfn, order);
+            break;
+          }
+          case 2:
+          case 3:
+            if (!blocks.empty()) {
+                const std::size_t idx = rng.below(blocks.size());
+                buddy.freeBlock(blocks[idx].first, blocks[idx].second);
+                blocks[idx] = blocks.back();
+                blocks.pop_back();
+            }
+            break;
+          case 4: {
+            const std::uint64_t n = 1 + rng.below(40);
+            const Pfn pfn = buddy.reserveContiguous(n);
+            fold(pfn);
+            if (pfn != invalidPfn)
+                runs.emplace_back(pfn, n);
+            break;
+          }
+          case 5: {
+            const Pfn start = rng.below(buddy.totalFrames() - 16);
+            const std::uint64_t n = 1 + rng.below(16);
+            const bool ok = buddy.reserveRange(start, n);
+            fold(ok ? start : invalidPfn);
+            if (ok)
+                runs.emplace_back(start, n);
+            break;
+          }
+          case 6:
+            if (rng.chance(0.5)) {
+                buddy.churn(rng, 40, 3, 0.5);
+                fold(buddy.churnHeldBlocks());
+            } else {
+                fold(buddy.releaseChurn(0.3));
+            }
+            break;
+          default:
+            if (!runs.empty()) {
+                const std::size_t idx = rng.below(runs.size());
+                buddy.freeRange(runs[idx].first, runs[idx].second);
+                runs[idx] = runs.back();
+                runs.pop_back();
+            }
+            break;
+        }
+        fold(buddy.freeFrames());
+        ASSERT_TRUE(buddy.checkConsistency()) << "op " << op;
+    }
+    fold(static_cast<std::uint64_t>(buddy.largestFreeOrder() + 1));
+    fold(buddy.fragmentationPermille());
+    EXPECT_EQ(hash, 0xeeab89ffeb1142feull) << std::hex << hash;
+}

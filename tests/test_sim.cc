@@ -131,6 +131,171 @@ TEST(System, HostDescriptorsForVirtualizedAsap)
     EXPECT_EQ(hostDescriptors[0].end, 128_MiB);
 }
 
+namespace
+{
+
+/** The touch stream a System reports to its SetupRecorder. */
+struct TouchLog : SetupRecorder
+{
+    void onMmap(std::uint64_t, const std::string &, bool) override {}
+    void onTouch(VirtAddr va) override { touches.push_back(va); }
+    std::vector<VirtAddr> touches;
+};
+
+std::vector<std::uint64_t>
+flatten(const std::vector<VmaDescriptor> &descriptors)
+{
+    std::vector<std::uint64_t> out;
+    for (const VmaDescriptor &d : descriptors) {
+        out.insert(out.end(), {d.start, d.end});
+        for (const LevelDescriptor &l : d.levels)
+            out.insert(out.end(), {l.valid, l.level, l.vaBase, l.basePa});
+    }
+    return out;
+}
+
+/**
+ * Build a System, prefault a fixed script of ranges with touchRange
+ * (@p ranged) or with the per-page touch loop, then grow the heap so
+ * ASAP region growth consults the reverse map and the pinning draws.
+ */
+struct PrefaultRun
+{
+    PrefaultRun(const SystemConfig &config, bool ranged) : system(config)
+    {
+        system.setRecorder(&log);
+        const std::uint64_t heapId =
+            system.mmap(24_MiB, "heap", /*prefetchable=*/true);
+        heap = system.appSpace().vmas().byId(heapId)->start;
+        libs = system.appSpace().vmas().byId(
+            system.mmap(3_MiB, "libs", /*prefetchable=*/false))->start;
+        // Already-touched pages inside later ranges.
+        for (const std::uint64_t page : {700u, 701u, 1500u})
+            system.touch(heap + page * pageSize);
+        const auto prefault = [&](VirtAddr start, std::uint64_t pages) {
+            if (ranged) {
+                system.touchRange(start, pages);
+                return;
+            }
+            for (std::uint64_t k = 0; k < pages; ++k)
+                system.touch(start + k * pageSize);
+        };
+        prefault(heap + 300 * pageSize, 1300);  // mid-span, 3 crossings
+        prefault(heap, 600);                    // overlaps the above
+        prefault(heap + 5000 * pageSize, 1);
+        prefault(heap + 5001 * pageSize, 0);
+        prefault(libs + 5 * pageSize, 700);
+        prefault(heap + 4000 * pageSize + pageSize / 2, 600); // unaligned
+        system.setRecorder(nullptr);
+        system.extendVma(heapId, 4_MiB);
+    }
+
+    System system;
+    TouchLog log;
+    VirtAddr heap = 0;
+    VirtAddr libs = 0;
+};
+
+} // namespace
+
+/**
+ * touchRange is the per-page touch loop, faster: same frames, PT nodes,
+ * host backing, pinning draws, recorder stream and descriptors, across
+ * native/virtualized, ASAP with holes, host 2MB pages, pinning and
+ * 5-level tables.
+ */
+TEST(System, TouchRangeMatchesPerPageTouch)
+{
+    std::vector<std::pair<const char *, SystemConfig>> cases;
+    SystemConfig base;
+    base.machineMemBytes = 512_MiB;
+    base.guestMemBytes = 128_MiB;
+    base.churnOps = 2000;
+    base.guestChurnOps = 2000;
+    cases.emplace_back("native", base);
+    SystemConfig c = base;
+    c.asapPlacement = true;
+    c.holeFraction = 0.3;
+    cases.emplace_back("native_asap_holes", c);
+    c = base;
+    c.asapPlacement = true;
+    c.pinnedProb = 0.3;
+    cases.emplace_back("native_asap_pinned", c);
+    c = base;
+    c.virtualized = true;
+    cases.emplace_back("virt", c);
+    c.asapPlacement = true;
+    c.holeFraction = 0.2;
+    c.pinnedProb = 0.2;
+    cases.emplace_back("virt_asap_holes_pinned", c);
+    c = base;
+    c.virtualized = true;
+    c.asapPlacement = true;
+    c.hostHugePages = true;
+    cases.emplace_back("virt_asap_host_huge", c);
+    c = base;
+    c.virtualized = true;
+    c.asapPlacement = true;
+    c.ptLevels = 5;
+    c.hostPtLevels = 5;
+    cases.emplace_back("virt_asap_5level", c);
+
+    for (const auto &[name, config] : cases) {
+        SCOPED_TRACE(name);
+        PrefaultRun ranged(config, true);
+        PrefaultRun looped(config, false);
+        System &a = ranged.system;
+        System &b = looped.system;
+        EXPECT_EQ(ranged.log.touches, looped.log.touches);
+        EXPECT_EQ(a.appPt().nodePfns(), b.appPt().nodePfns());
+        EXPECT_EQ(a.appSpace().pageFaults(), b.appSpace().pageFaults());
+        EXPECT_EQ(a.appSpace().touchedPages(), b.appSpace().touchedPages());
+        EXPECT_EQ(a.appSpace().relocations(), b.appSpace().relocations());
+        EXPECT_EQ(a.machineFrames().freeFrames(),
+                  b.machineFrames().freeFrames());
+        EXPECT_EQ(a.appSpace().frames().freeFrames(),
+                  b.appSpace().frames().freeFrames());
+        EXPECT_EQ(flatten(a.appDescriptors()), flatten(b.appDescriptors()));
+        EXPECT_EQ(flatten(a.hostDescriptors()),
+                  flatten(b.hostDescriptors()));
+        if (config.virtualized)
+            EXPECT_EQ(a.hostPt().nodePfns(), b.hostPt().nodePfns());
+        for (const auto &[start, pages] :
+             {std::pair{ranged.heap, 7168u}, std::pair{ranged.libs, 768u}}) {
+            for (std::uint64_t k = 0; k < pages; ++k) {
+                const VirtAddr va = start + k * pageSize;
+                const auto ta = a.appSpace().translate(va);
+                const auto tb = b.appSpace().translate(va);
+                ASSERT_EQ(ta.has_value(), tb.has_value()) << va;
+                if (!ta)
+                    continue;
+                ASSERT_EQ(ta->pfn, tb->pfn) << va;
+                ASSERT_EQ(ta->pteAddr, tb->pteAddr) << va;
+                if (config.virtualized) {
+                    // Relocated pages may be unbacked in the host.
+                    const PhysAddr gpa = ta->physAddrOf(va);
+                    const auto ha = a.hostSpace().translate(gpa);
+                    const auto hb = b.hostSpace().translate(gpa);
+                    ASSERT_EQ(ha.has_value(), hb.has_value()) << va;
+                    if (ha)
+                        ASSERT_EQ(ha->physAddrOf(gpa), hb->physAddrOf(gpa));
+                }
+            }
+        }
+    }
+}
+
+TEST(SystemDeath, TouchRangePastVmaPanicsLikeTouch)
+{
+    SystemConfig config;
+    config.machineMemBytes = 256_MiB;
+    System system(config);
+    const VirtAddr start =
+        system.appSpace().vmas().byId(system.mmap(8_MiB, "heap"))->start;
+    EXPECT_DEATH(system.touchRange(start + 8_MiB - 2 * pageSize, 3),
+                 "touch outside any VMA");
+}
+
 TEST(Machine, TlbHitAfterWalk)
 {
     SystemConfig config;

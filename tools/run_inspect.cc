@@ -35,6 +35,7 @@
 
 #include "common/status.hh"
 #include "mc/multicore.hh"
+#include "obs/profile.hh"
 #include "obs/timeline.hh"
 #include "obs/trace_sink.hh"
 #include "sim/environment.hh"
@@ -267,6 +268,7 @@ run(int argc, char **argv)
         mc::MultiCoreSimulator sim(mcConfig, chosen.machine);
         std::vector<Tenant> tenants;
         tenants.reserve(mcTenants);
+        const double setupStart = obs::wallSeconds();
         for (unsigned t = 0; t < mcTenants; ++t) {
             Tenant tenant;
             tenant.system = std::make_unique<System>(
@@ -277,11 +279,13 @@ run(int argc, char **argv)
             sim.addTenant(*tenants.back().system,
                           *tenants.back().workload);
         }
+        const double setupSec = obs::wallSeconds() - setupStart;
         sim.attachTraceSink(&sink);
         if (timeline)
             sim.attachTimeline(&epochs);
         mcResult = sim.run(run);
         stats = mcResult.aggregate;
+        stats.profile.envSetupSec = setupSec;
     } else {
         Environment environment(*spec, chosen.env);
         stats = environment.run(chosen.machine, run, &sink,
@@ -332,9 +336,14 @@ run(int argc, char **argv)
         std::printf("data latency  p50 %llu  p99 %llu cycles\n",
                     static_cast<unsigned long long>(stats.dataHist.p50()),
                     static_cast<unsigned long long>(stats.dataHist.p99()));
-        std::printf("self-profile  setup %.2fs  warmup %.2fs  "
+        // The mc scheduler interleaves warmup with measure, so its
+        // measure time includes warmup.
+        const std::string warmup =
+            multicore ? std::string("(in measure)")
+                      : strprintf("%.2fs", stats.profile.warmupSec);
+        std::printf("self-profile  setup %.2fs  warmup %s  "
                     "measure %.2fs  %.0f acc/s  peak RSS %.1f MiB\n",
-                    stats.profile.envSetupSec, stats.profile.warmupSec,
+                    stats.profile.envSetupSec, warmup.c_str(),
                     stats.profile.measureSec, stats.profile.accessesPerSec,
                     static_cast<double>(stats.profile.peakRssBytes) /
                         (1024.0 * 1024.0));
